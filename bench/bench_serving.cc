@@ -5,7 +5,9 @@
 // settings and shard counts, plus sampled per-query tail latency. The
 // load path is measured three ways (owning load, zero-copy mmap, and the
 // sharded front-end over the mapped image); the Thorup–Zwick distance
-// oracle, frozen the same way, is the sequential-baseline row.
+// oracle, frozen the same way, is the sequential-baseline row. The delta
+// row drives stationary edge churn through DeltaSet::apply (DESIGN.md
+// §13): the per-batch cost of layering live updates over the image.
 //
 // Runtime knobs (all recorded in the emitted JSON):
 //   --threads=T   max worker threads of the RouteServer sweep
@@ -19,12 +21,15 @@
 //
 // Emits BENCH_serving.json (schema: bench/results/README.md).
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 
 #include "common.h"
 #include "core/scheme.h"
+#include "serve/delta.h"
 #include "serve/frozen.h"
 #include "serve/frozen_tz.h"
 #include "serve/server.h"
@@ -50,6 +55,48 @@ std::vector<serve::Query> make_queries(int n, std::size_t count,
     qs.push_back({u, v});
   }
   return qs;
+}
+
+/// Stationary churn over a fixed pool of real links (u < v): each event
+/// flips a live link between its frozen weight and twice it; every 64th
+/// revives the failed link at its frozen weight and the next fails a new
+/// one, so one link is down at almost every batch boundary.
+std::vector<std::vector<serve::EdgeUpdate>> churn_batches(
+    const graph::WeightedGraph& g, std::size_t pool_links,
+    std::size_t batches, std::size_t events, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<serve::EdgeUpdate> pool;  // frozen weights
+  for (graph::Vertex u = 0; u < g.n(); ++u) {
+    for (const auto& he : g.neighbors(u)) {
+      if (he.to > u) pool.push_back(serve::EdgeUpdate::weight(u, he.to, he.w));
+    }
+  }
+  for (std::size_t i = 0; i + 1 < pool.size(); ++i) {  // seeded shuffle
+    std::swap(pool[i], pool[i + rng.uniform(pool.size() - i)]);
+  }
+  pool.resize(std::min(pool.size(), pool_links));
+  std::vector<std::uint8_t> doubled(pool.size(), 0);
+  std::size_t down = pool.size();  // none
+  std::uint64_t event = 0;
+  std::vector<std::vector<serve::EdgeUpdate>> out(batches);
+  for (auto& batch : out) {
+    while (batch.size() < events) {
+      const auto i = static_cast<std::size_t>(rng.uniform(pool.size()));
+      if (event++ % 64 == 0 && down < pool.size()) {
+        batch.push_back(pool[down]);
+        down = pool.size();
+      } else if (down == pool.size()) {
+        down = i;
+        doubled[i] = 0;
+        batch.push_back(serve::EdgeUpdate::fail(pool[i].u, pool[i].v));
+      } else if (i != down) {
+        doubled[i] ^= 1;
+        batch.push_back(serve::EdgeUpdate::weight(
+            pool[i].u, pool[i].v, pool[i].w * (doubled[i] + 1)));
+      }
+    }
+  }
+  return out;
 }
 
 /// --key=value flags; anything unrecognized aborts with usage.
@@ -352,6 +399,60 @@ int main(int argc, char** argv) {
         .field("queries", static_cast<std::int64_t>(queries.size()))
         .field("qps", qps)
         .field("frozen_bytes", ftz.byte_size());
+  }
+
+  // ---- live updates: stationary churn through DeltaSet::apply ----------
+  // 64-event batches over a 4096-link pool with one link down, chained
+  // the way net::Server publishes generations. The first batches bring
+  // the override set to its steady size untimed; each timed apply pays
+  // one flat copy of its predecessor plus O(1) per event.
+  {
+    constexpr std::size_t kEvents = 64, kPool = 4096, kWarm = 512,
+                          kTimed = 4096;
+    const auto batches =
+        churn_batches(g, kPool, kWarm + kTimed, kEvents, flags.seed);
+    std::shared_ptr<const serve::DeltaSet> cur;
+    for (std::size_t b = 0; b < kWarm; ++b) {
+      cur = serve::DeltaSet::apply(mapped, cur.get(), batches[b]);
+    }
+    std::vector<double> apply_us;
+    apply_us.reserve(kTimed);
+    bench::WallTimer total;
+    for (std::size_t b = kWarm; b < kWarm + kTimed; ++b) {
+      bench::WallTimer t;
+      auto next = serve::DeltaSet::apply(mapped, cur.get(), batches[b]);
+      apply_us.push_back(t.seconds() * 1e6);
+      cur = std::move(next);
+    }
+    const double wall = total.seconds();
+    std::sort(apply_us.begin(), apply_us.end());
+    const double p50 = apply_us[apply_us.size() / 2];
+    const double p99 = apply_us[apply_us.size() * 99 / 100];
+    const double bps = static_cast<double>(kTimed) / wall;
+    std::printf(
+        "delta: %zu x %zu-event batches: apply p50 %.1fus  p99 %.1fus  "
+        "%.0f batches/s | %lld overrides, %lld failed, %lld masked, "
+        "%zu bytes\n",
+        kTimed, kEvents, p50, p99, bps,
+        static_cast<long long>(cur->override_count()),
+        static_cast<long long>(cur->failed_link_count()),
+        static_cast<long long>(cur->masked_tree_count()), cur->byte_size());
+    report.row()
+        .field("row", std::string("delta"))
+        .field("n", n)
+        .field("k", k)
+        .field("seed", static_cast<std::int64_t>(flags.seed))
+        .field("hw_threads", static_cast<std::int64_t>(hw))
+        .field("pool_links", static_cast<std::int64_t>(kPool))
+        .field("events_per_batch", static_cast<std::int64_t>(kEvents))
+        .field("batches", static_cast<std::int64_t>(kTimed))
+        .field("apply_p50_us", p50)
+        .field("apply_p99_us", p99)
+        .field("batches_per_sec", bps)
+        .field("overrides", cur->override_count())
+        .field("failed_links", cur->failed_link_count())
+        .field("masked_trees", cur->masked_tree_count())
+        .field("delta_bytes", static_cast<std::int64_t>(cur->byte_size()));
   }
 
   std::remove(map_path.c_str());

@@ -116,8 +116,9 @@ struct Server::Impl {
   /// Two kinds of swap publish a new Gen. reload() (SIGHUP) builds a
   /// fresh image + fresh shard workers. apply_updates() (kUpdate /
   /// --updates) *shares* the image and compute with its predecessor and
-  /// swaps only the immutable DeltaSet — a delta generation costs a hash
-  /// table, not a thread pool, so update batches can be frequent.
+  /// swaps only the immutable DeltaSet — a delta generation costs one
+  /// flat copy of the predecessor's probe table plus O(1) per event, not
+  /// a thread pool, so update batches can be frequent.
   struct Gen {
     Gen(serve::FrozenScheme f, const NetServerOptions& o)
         : fs(std::make_shared<serve::FrozenScheme>(std::move(f))) {
@@ -962,9 +963,10 @@ struct Server::Impl {
       }
       case FrameType::kUpdate: {
         // Admin frame: apply the edge batch and publish it as a new delta
-        // generation. Answered inline (the apply is a hash-table build,
-        // not a route computation) and in pipeline order like everything
-        // else; route frames already admitted keep their old generation.
+        // generation. Answered inline (the apply is a table copy plus
+        // O(1) per event, not a route computation) and in pipeline order
+        // like everything else; route frames already admitted keep their
+        // old generation.
         std::vector<serve::EdgeUpdate> ups;
         try {
           ups = decode_update_request(f.body);
@@ -1466,6 +1468,11 @@ UpdateAck Server::apply_updates(std::span<const serve::EdgeUpdate> updates) {
 CheckpointAck Server::checkpoint() { return impl_->checkpoint(); }
 
 WireStats Server::stats() const { return impl_->snapshot_stats(); }
+
+std::size_t Server::delta_bytes() const {
+  const auto g = impl_->current_gen();
+  return g->delta != nullptr ? g->delta->byte_size() : 0;
+}
 
 const NetServerOptions& Server::options() const { return impl_->opt; }
 

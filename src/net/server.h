@@ -187,6 +187,10 @@ class Server {
   /// Cumulative counters (the same numbers a kStats frame reports).
   WireStats stats() const;
 
+  /// Heap bytes of the serving generation's DeltaSet (0 when unpatched) —
+  /// the size route_serviced logs beside each applied batch's counts.
+  std::size_t delta_bytes() const;
+
   const NetServerOptions& options() const;
 
  private:

@@ -5,12 +5,24 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/serialize.h"
 #include "util/check.h"
 
 namespace nors::serve {
+
+namespace {
+
+constexpr std::size_t kMinSlots = 16;
+
+/// Smallest probe-table capacity holding `live` keys at ≤ 1/2 load.
+std::size_t fit_capacity(std::int64_t live) {
+  std::size_t cap = kMinSlots;
+  while (cap < static_cast<std::size_t>(live) * 2) cap <<= 1;
+  return cap;
+}
+
+}  // namespace
 
 std::shared_ptr<const DeltaSet> DeltaSet::apply(
     const FrozenScheme& fs, const DeltaSet* prev,
@@ -18,15 +30,22 @@ std::shared_ptr<const DeltaSet> DeltaSet::apply(
   const auto adj_off = fs.adj_off();
   const auto links = fs.link_map();
 
-  // Working override map: predecessor entries + the batch layered on top.
-  // The apply path favors clarity (hash map, per-edge port scans); only
-  // the finished flat table is consulted on the serving path.
-  std::unordered_map<std::int64_t, graph::Dist> work;
+  // Start from a flat copy of the predecessor (or an empty table) and
+  // edit it in place: the copy is the only cost that scales with the
+  // size of the set. Every event after it is O(1) expected, plus a
+  // sorted insert or erase in the short failed list when it fails or
+  // revives a link.
+  auto out = std::shared_ptr<DeltaSet>(new DeltaSet());
   if (prev != nullptr) {
-    work.reserve(static_cast<std::size_t>(prev->override_count_));
-    for (const Slot& s : prev->slots_) {
-      if (s.key != kEmpty) work.emplace(s.key, s.w);
-    }
+    out->slots_ = prev->slots_;
+    out->probe_mask_ = prev->probe_mask_;
+    out->failed_ = prev->failed_;
+    out->override_count_ = prev->override_count_;
+    out->seq_ = prev->seq_ + 1;
+  } else {
+    out->slots_.assign(kMinSlots, Slot{});
+    out->probe_mask_ = kMinSlots - 1;
+    out->seq_ = 1;
   }
 
   DeltaStats local;
@@ -48,74 +67,127 @@ std::shared_ptr<const DeltaSet> DeltaSet::apply(
         adj_off[static_cast<std::size_t>(e.v)] + pv,
     };
     for (const std::int64_t idx : dir) {
-      if (e.is_fail()) {
-        work[idx] = EdgeUpdate::kFail;
-      } else if (e.w == links[static_cast<std::size_t>(idx)].w) {
-        work.erase(idx);  // restored to frozen: no override needed
+      if (!e.is_fail() && e.w == links[static_cast<std::size_t>(idx)].w) {
+        out->erase(idx);  // restored to frozen: no override needed
       } else {
-        work[idx] = e.w;
+        out->put(idx, e.w);
       }
     }
   }
 
-  auto out = std::shared_ptr<DeltaSet>(new DeltaSet());
-  out->seq_ = (prev != nullptr ? prev->seq_ : 0) + 1;
-  out->override_count_ = static_cast<std::int64_t>(work.size());
-
-  // Freeze into the open-addressed probe table (≤ 50% load, power of 2).
-  std::size_t cap = 16;
-  while (cap < work.size() * 2) cap <<= 1;
-  out->slots_.assign(cap, Slot{});
-  out->probe_mask_ = cap - 1;
-  for (const auto& [key, w] : work) {
-    std::uint64_t probe = mix(static_cast<std::uint64_t>(key)) &
-                          out->probe_mask_;
-    while (out->slots_[probe].key != kEmpty) {
-      probe = (probe + 1) & out->probe_mask_;
-    }
-    out->slots_[probe] = Slot{key, w};
-    if (w < 0) ++out->failed_count_;
+  // Growth happens inside put(); shrinking waits for the end of the batch
+  // so a batch that deletes and re-inserts does not rehash twice. Below
+  // 1/8 load the table is refit, which keeps capacity ≤ 8 × live
+  // overrides (or the 16-slot minimum) after every apply.
+  if (out->slots_.size() > kMinSlots &&
+      static_cast<std::size_t>(out->override_count_) * 8 <
+          out->slots_.size()) {
+    out->rehash(fit_capacity(out->override_count_));
   }
 
-  // Recompute the tree mask from the full failed-link set (not just this
-  // batch), so a revived link unmasks the trees it alone had broken. A
-  // failed link direction (x, port) breaks exactly the trees whose table
-  // slot at x points back across it — parent_port for interior vertices,
-  // up_port at subtree roots (every routed port kind is the reverse of one
-  // of these at the child endpoint). Both directions of a failed edge are
-  // in the set, so the child side is always among the scans.
+  // The mask depends only on the failed list: share the predecessor's
+  // when the batch left the list as it was.
+  if (prev != nullptr && out->failed_ == prev->failed_) {
+    out->mask_ = prev->mask_;
+    out->mask_words_ = prev->mask_words_;
+    out->masked_count_ = prev->masked_count_;
+  } else {
+    out->rebuild_mask(fs);
+  }
+
+  ds.overrides = out->override_count_;
+  ds.failed_links = out->failed_link_count();
+  ds.masked_trees = out->masked_count_;
+  return out;
+}
+
+void DeltaSet::put(std::int64_t key, graph::Dist w) {
+  Slot& s = slots_[probe_for(key)];
+  const bool was_failed = s.key == key && s.w < 0;
+  if (s.key == kEmpty) {
+    s.key = key;
+    ++override_count_;
+  }
+  s.w = w;
+  if (w < 0 && !was_failed) {
+    failed_.insert(std::lower_bound(failed_.begin(), failed_.end(), key), key);
+  } else if (w >= 0 && was_failed) {
+    failed_.erase(std::lower_bound(failed_.begin(), failed_.end(), key));
+  }
+  if (static_cast<std::size_t>(override_count_) * 2 > slots_.size()) {
+    rehash(slots_.size() * 2);
+  }
+}
+
+void DeltaSet::erase(std::int64_t key) {
+  std::uint64_t hole = probe_for(key);
+  if (slots_[hole].key == kEmpty) return;
+  if (slots_[hole].w < 0) {
+    failed_.erase(std::lower_bound(failed_.begin(), failed_.end(), key));
+  }
+  --override_count_;
+  // Backward-shift deletion: walk the rest of the probe run and pull each
+  // entry whose home slot does not lie in (hole, j] back into the hole,
+  // so lookups never meet a gap inside a run and no tombstones build up.
+  for (std::uint64_t j = (hole + 1) & probe_mask_; slots_[j].key != kEmpty;
+       j = (j + 1) & probe_mask_) {
+    const std::uint64_t home =
+        mix(static_cast<std::uint64_t>(slots_[j].key)) & probe_mask_;
+    if (((j - home) & probe_mask_) >= ((j - hole) & probe_mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+}
+
+void DeltaSet::rehash(std::size_t capacity) {
+  std::vector<Slot> old(capacity, Slot{});
+  old.swap(slots_);
+  probe_mask_ = capacity - 1;
+  for (const Slot& s : old) {
+    if (s.key != kEmpty) slots_[probe_for(s.key)] = s;
+  }
+}
+
+void DeltaSet::rebuild_mask(const FrozenScheme& fs) {
+  // A failed link direction (x, port) breaks exactly the trees whose
+  // table slot at x points back across it — parent_port for interior
+  // vertices, up_port at subtree roots (every routed port kind is the
+  // reverse of one of these at the child endpoint). Both directions of a
+  // failed edge are in the list, so the child side is always scanned.
+  const auto adj_off = fs.adj_off();
   const auto table_off = fs.table_off();
   const auto tables = fs.tables();
   const auto table_tree = fs.table_tree();
-  out->masked_.assign(
+  mask_words_ =
       (static_cast<std::size_t>(std::max<std::int32_t>(fs.num_trees(), 1)) +
-       63) / 64,
-      0);
-  for (const Slot& s : out->slots_) {
-    if (s.key == kEmpty || s.w >= 0) continue;
-    const auto it =
-        std::upper_bound(adj_off.begin(), adj_off.end(), s.key);
+       63) / 64;
+  auto mask = std::make_shared<std::uint64_t[]>(mask_words_);
+  for (const std::int64_t key : failed_) {
+    const auto it = std::upper_bound(adj_off.begin(), adj_off.end(), key);
     const auto x = static_cast<std::size_t>(it - adj_off.begin()) - 1;
-    const auto port = static_cast<std::int32_t>(s.key - adj_off[x]);
-    const std::int64_t lo = table_off[x];
-    const std::int64_t hi = table_off[x + 1];
-    for (std::int64_t i = lo; i < hi; ++i) {
+    const auto port = static_cast<std::int32_t>(key - adj_off[x]);
+    for (std::int64_t i = table_off[x]; i < table_off[x + 1]; ++i) {
       const FrozenScheme::TableSlot& t = tables[static_cast<std::size_t>(i)];
       if (t.parent_port == port || t.up_port == port) {
         const auto tree =
             static_cast<std::uint32_t>(table_tree[static_cast<std::size_t>(i)]);
-        out->masked_[tree >> 6] |= 1ull << (tree & 63);
+        mask[tree >> 6] |= 1ull << (tree & 63);
       }
     }
   }
-  for (const std::uint64_t word : out->masked_) {
-    out->masked_count_ += __builtin_popcountll(word);
+  masked_count_ = 0;
+  for (std::size_t w = 0; w < mask_words_; ++w) {
+    masked_count_ += __builtin_popcountll(mask[w]);
   }
+  mask_ = std::move(mask);
+}
 
-  ds.overrides = out->override_count_;
-  ds.failed_links = out->failed_count_;
-  ds.masked_trees = out->masked_count_;
-  return out;
+std::size_t DeltaSet::byte_size() const {
+  return slots_.size() * sizeof(Slot) +
+         failed_.size() * sizeof(std::int64_t) +
+         mask_words_ * sizeof(std::uint64_t);
 }
 
 std::vector<std::pair<std::int64_t, graph::Dist>> DeltaSet::sorted_overrides()

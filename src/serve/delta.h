@@ -64,32 +64,28 @@ struct DeltaStats {
 ///    edge of tree T iff the child endpoint's table slot in T points back
 ///    across it (parent_port, or up_port at subtree roots), so scanning
 ///    the two endpoints' table slabs finds exactly the trees that break.
-///  - The mask is recomputed from the *full* failed-link set on every
-///    apply, so reviving a link (re-weighting a failed edge) unmasks any
-///    tree whose only failed edge it was.
+///  - The mask is a function of the sorted failed-link list alone: an
+///    apply that changes the list rebuilds the mask from it, so reviving
+///    a link (re-weighting a failed edge) unmasks any tree whose only
+///    failed edge it was; an apply that leaves it unchanged shares the
+///    predecessor's mask.
 class DeltaSet {
  public:
   // ---------------------------------------------------- overlay concept --
   static constexpr bool kActive = true;
 
   bool tree_masked(std::int32_t tree) const {
-    return (masked_[static_cast<std::size_t>(tree) >> 6] >>
+    return (mask_[static_cast<std::size_t>(tree) >> 6] >>
             (static_cast<unsigned>(tree) & 63)) &
            1u;
   }
 
   LinkPatch link_patch(std::int64_t link, graph::Dist& w) const {
-    const std::uint64_t h = mix(static_cast<std::uint64_t>(link));
-    for (std::uint64_t probe = h & probe_mask_;;
-         probe = (probe + 1) & probe_mask_) {
-      const Slot& s = slots_[probe];
-      if (s.key == kEmpty) return LinkPatch::kNone;
-      if (s.key == link) {
-        if (s.w < 0) return LinkPatch::kFailed;
-        w = s.w;
-        return LinkPatch::kWeight;
-      }
-    }
+    const Slot& s = slots_[probe_for(link)];
+    if (s.key == kEmpty) return LinkPatch::kNone;
+    if (s.w < 0) return LinkPatch::kFailed;
+    w = s.w;
+    return LinkPatch::kWeight;
   }
 
   // ------------------------------------------------------------ building --
@@ -99,6 +95,11 @@ class DeltaSet {
   /// restores a link's frozen weight is dropped entirely, so a journal
   /// that undoes itself converges back to an empty set. Throws on
   /// out-of-range vertices; unknown edges are skipped and counted.
+  ///
+  /// Cost: one flat copy of `prev`'s probe table and failed list, then
+  /// O(1) expected work per event — never a rebuild of the whole set. The
+  /// tree mask is shared with `prev` when the batch leaves the failed
+  /// list as it was, and rebuilt from that list alone otherwise.
   static std::shared_ptr<const DeltaSet> apply(
       const FrozenScheme& fs, const DeltaSet* prev,
       std::span<const EdgeUpdate> batch, DeltaStats* stats = nullptr);
@@ -109,8 +110,19 @@ class DeltaSet {
   std::uint64_t seq() const { return seq_; }
 
   std::int64_t override_count() const { return override_count_; }
-  std::int64_t failed_link_count() const { return failed_count_; }
+  std::int64_t failed_link_count() const {
+    return static_cast<std::int64_t>(failed_.size());
+  }
   std::int64_t masked_tree_count() const { return masked_count_; }
+
+  /// Probe-table capacity: a power of two, ≥ 16, left by every apply
+  /// between 1/8 and 1/2 load (the 16-slot minimum aside), so a set that
+  /// shrinks gives its memory back.
+  std::size_t slot_capacity() const { return slots_.size(); }
+
+  /// Heap bytes of this set: probe table, failed list and tree mask (the
+  /// mask may be shared with neighbouring generations).
+  std::size_t byte_size() const;
 
   /// All overrides as (global link index, weight-or-kFail), key-sorted —
   /// apply/inspection path only (tests rebuild reference graphs from it).
@@ -138,14 +150,30 @@ class DeltaSet {
     return x ^ (x >> 31);
   }
 
+  /// Index of `key`'s slot, or of the empty slot that ends its probe run.
+  std::uint64_t probe_for(std::int64_t key) const {
+    std::uint64_t i = mix(static_cast<std::uint64_t>(key)) & probe_mask_;
+    while (slots_[i].key != kEmpty && slots_[i].key != key) {
+      i = (i + 1) & probe_mask_;
+    }
+    return i;
+  }
+
+  // Apply-path edits on a set that is not yet published.
+  void put(std::int64_t key, graph::Dist w);
+  void erase(std::int64_t key);
+  void rehash(std::size_t capacity);
+  void rebuild_mask(const FrozenScheme& fs);
+
   DeltaSet() = default;
 
   std::vector<Slot> slots_;       // open-addressed, power-of-2 size
   std::uint64_t probe_mask_ = 0;  // slots_.size() - 1
-  std::vector<std::uint64_t> masked_;  // bit per cluster tree
+  std::vector<std::int64_t> failed_;  // sorted keys of failed slots
+  std::shared_ptr<const std::uint64_t[]> mask_;  // bit per cluster tree
+  std::size_t mask_words_ = 0;
   std::uint64_t seq_ = 0;
   std::int64_t override_count_ = 0;
-  std::int64_t failed_count_ = 0;
   std::int64_t masked_count_ = 0;
 };
 

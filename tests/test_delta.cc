@@ -2,7 +2,9 @@
 // frozen image. Covered here: exact masking (a failed edge masks
 // precisely the cluster trees routing across it), in-place weight repair
 // (served lengths charge the overridden weights along the unchanged
-// frozen route), revive-by-reweight unmasking, journal parsing, the
+// frozen route), revive-by-reweight unmasking, a differential model
+// test of chained applies against a one-batch reference (including the
+// probe table's no-ratchet capacity bound), journal parsing, the
 // sharded submit path with a delta attached, the stretch bound on the
 // *updated* graph, and the update-while-serving wire stress: ≥10k
 // journaled updates applied through kUpdate admin frames while four
@@ -311,6 +313,215 @@ TEST(DeltaSet, UnknownAndSelfLoopEdgesAreCountedAndSkipped) {
   EXPECT_EQ(st.applied, 0);
   EXPECT_EQ(st.unknown_edges, 2);
   EXPECT_EQ(ds->override_count(), 0);
+}
+
+// ---- differential model: chained applies vs a one-batch reference -------
+
+/// Asserts that `got` is the same overlay as `want`: overrides, counts,
+/// every tree bit, and link_patch on every link of the image.
+void expect_same_overlay(const serve::FrozenScheme& fs, const DeltaSet& got,
+                         const DeltaSet& want) {
+  ASSERT_EQ(got.sorted_overrides(), want.sorted_overrides());
+  EXPECT_EQ(got.override_count(), want.override_count());
+  EXPECT_EQ(got.failed_link_count(), want.failed_link_count());
+  EXPECT_EQ(got.masked_tree_count(), want.masked_tree_count());
+  for (std::int32_t t = 0; t < fs.num_trees(); ++t) {
+    ASSERT_EQ(got.tree_masked(t), want.tree_masked(t)) << "tree " << t;
+  }
+  const auto links = static_cast<std::int64_t>(fs.link_map().size());
+  for (std::int64_t link = 0; link < links; ++link) {
+    graph::Dist gw = -7, ww = -7;
+    ASSERT_EQ(got.link_patch(link, gw), want.link_patch(link, ww))
+        << "link " << link;
+    EXPECT_EQ(gw, ww) << "link " << link;
+  }
+}
+
+/// The probe table never ratchets: a power of two, at most half full,
+/// and at most 8 × the live overrides (or the 16-slot minimum).
+void expect_capacity_bounded(const DeltaSet& ds) {
+  const std::size_t cap = ds.slot_capacity();
+  const auto live = static_cast<std::size_t>(ds.override_count());
+  EXPECT_EQ(cap & (cap - 1), 0u) << cap;
+  EXPECT_GE(cap, 2 * live);
+  EXPECT_LE(cap, std::max<std::size_t>(16, 8 * live));
+}
+
+/// The overrides an edge-state view implies, derived without DeltaSet:
+/// both directions of every edge whose state differs from its frozen
+/// weight, key-sorted.
+std::vector<std::pair<std::int64_t, graph::Dist>> model_overrides(
+    const serve::FrozenScheme& fs,
+    const std::map<EdgeKey, graph::Dist>& frozen, const EdgeState& state) {
+  std::vector<std::pair<std::int64_t, graph::Dist>> out;
+  for (const auto& [key, w] : state) {
+    if (w == frozen.at(key)) continue;
+    for (const auto& [x, y] : {key, EdgeKey{key.second, key.first}}) {
+      out.emplace_back(
+          fs.adj_off()[static_cast<std::size_t>(x)] + fs.find_port(x, y), w);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Seeded random batch sequences, each step checked against the reference
+// "every event since the base, folded into one batch, applied over
+// nullptr" and against an independent edge-state model. The sequences mix
+// reprices, restore-to-frozen, fail and revive, the same edge repeated
+// inside a batch, unknown and self-loop edges, snapshot applies (prev ==
+// nullptr, both checkpoint-style rebases and fresh journals), batches
+// that grow the table past its load factor, and journals that undo
+// themselves back to the empty set.
+TEST(DeltaSetModel, ChainedAppliesMatchTheOneBatchReference) {
+  const auto g = test_graph(150, 1103);
+  const auto fs = serve::FrozenScheme::freeze(build_scheme(g, 3, 41));
+  const auto edges = all_edges(g);
+  const std::map<EdgeKey, graph::Dist> frozen(edges.begin(), edges.end());
+  const std::size_t empty_bytes =
+      DeltaSet::apply(fs, nullptr, {})->byte_size();
+
+  util::Rng pick(1109);
+  std::vector<EdgeKey> non_edges;
+  while (non_edges.size() < 16) {
+    const auto u = static_cast<Vertex>(pick.uniform(150));
+    const auto v = static_cast<Vertex>(pick.uniform(150));
+    if (u != v && fs.find_port(u, v) == graph::kNoPort) {
+      non_edges.push_back(key_of(u, v));
+    }
+  }
+
+  int masked_steps = 0, shared_mask_steps = 0, undo_steps = 0,
+      snapshot_steps = 0;
+  std::size_t max_capacity = 0;
+  // Pool sizes: a few hot links, a hundred and fifty, and every edge.
+  for (const std::size_t pool_size :
+       {std::size_t{12}, std::size_t{150}, edges.size()}) {
+    util::Rng rng(1117 + pool_size);
+    std::vector<EdgeKey> pool;
+    for (std::size_t i = 0; i < pool_size; ++i) {
+      pool.push_back(edges[(i * 7919) % edges.size()].first);
+    }
+    std::vector<EdgeUpdate> history;  // every event since the base
+    EdgeState state;                  // known edges only
+    std::shared_ptr<const DeltaSet> cur;
+    std::uint64_t want_seq = 0;
+
+    for (int step = 0; step < 120; ++step) {
+      SCOPED_TRACE("pool " + std::to_string(pool_size) + ", step " +
+                   std::to_string(step));
+      const auto mode = rng.uniform(16);
+      const bool undo = mode == 0;
+      const bool rebase = mode == 1 && cur != nullptr;
+      const bool fresh = mode == 2;
+      const bool reprice_only = mode >= 3 && mode <= 6;
+      std::vector<EdgeUpdate> batch;
+      std::int64_t want_unknown = 0;
+      if (undo) {
+        for (const auto& [key, w] : state) {
+          batch.push_back(
+              EdgeUpdate::weight(key.first, key.second, frozen.at(key)));
+        }
+      } else if (rebase) {
+        batch = cur->as_edge_updates(fs);
+      } else {
+        const auto events =
+            1 + static_cast<int>(rng.uniform(step < 8 ? 400 : 32));
+        for (int i = 0; i < events; ++i) {
+          EdgeKey key = pool[rng.uniform(pool.size())];
+          const auto r = rng.uniform(100);
+          if (r >= 85 && !batch.empty()) {
+            key = key_of(batch.back().u, batch.back().v);
+          } else if (r >= 80 && !reprice_only) {
+            key = r % 2 == 0 ? non_edges[rng.uniform(non_edges.size())]
+                             : EdgeKey{key.first, key.first};
+          }
+          const bool known = frozen.count(key) > 0;
+          if (reprice_only && state.count(key) > 0 &&
+              state.at(key) == EdgeUpdate::kFail) {
+            continue;  // a reprice would revive it
+          }
+          const graph::Dist fw = known ? frozen.at(key) : 5;
+          switch (rng.uniform(reprice_only ? 2 : 3)) {
+            case 0:
+              batch.push_back(EdgeUpdate::weight(
+                  key.first, key.second,
+                  fw + 1 + static_cast<graph::Dist>(rng.uniform(20))));
+              break;
+            case 1:
+              batch.push_back(EdgeUpdate::weight(key.first, key.second, fw));
+              break;
+            default:
+              batch.push_back(EdgeUpdate::fail(key.first, key.second));
+              break;
+          }
+          if (!known) ++want_unknown;
+        }
+      }
+
+      // The predecessor must come through untouched.
+      std::vector<std::pair<std::int64_t, graph::Dist>> prev_overrides;
+      std::int64_t prev_masked = 0;
+      if (cur != nullptr) {
+        prev_overrides = cur->sorted_overrides();
+        prev_masked = cur->masked_tree_count();
+      }
+      const bool snapshot = rebase || fresh;
+      serve::DeltaStats st;
+      const auto next =
+          DeltaSet::apply(fs, snapshot ? nullptr : cur.get(), batch, &st);
+      if (cur != nullptr) {
+        EXPECT_EQ(cur->sorted_overrides(), prev_overrides);
+        EXPECT_EQ(cur->masked_tree_count(), prev_masked);
+      }
+      const bool shared_mask = reprice_only && cur != nullptr &&
+                               cur->masked_tree_count() > 0;
+      cur = next;
+      want_seq = snapshot ? 1 : want_seq + 1;
+      if (fresh) {
+        history.clear();
+        state.clear();
+      }
+      if (!rebase) {
+        history.insert(history.end(), batch.begin(), batch.end());
+        for (const auto& e : batch) {
+          const EdgeKey key = key_of(e.u, e.v);
+          if (frozen.count(key) > 0) state[key] = e.w;
+        }
+      }
+
+      serve::DeltaStats rst;
+      const auto ref = DeltaSet::apply(fs, nullptr, history, &rst);
+      EXPECT_EQ(cur->seq(), want_seq);
+      EXPECT_EQ(st.applied,
+                static_cast<std::int64_t>(batch.size()) - want_unknown);
+      EXPECT_EQ(st.unknown_edges, want_unknown);
+      EXPECT_EQ(st.overrides, rst.overrides);
+      EXPECT_EQ(st.failed_links, rst.failed_links);
+      EXPECT_EQ(st.masked_trees, rst.masked_trees);
+      expect_same_overlay(fs, *cur, *ref);
+      EXPECT_EQ(cur->sorted_overrides(), model_overrides(fs, frozen, state));
+      expect_capacity_bounded(*cur);
+      if (undo) {
+        EXPECT_EQ(cur->override_count(), 0);
+        EXPECT_EQ(cur->failed_link_count(), 0);
+        EXPECT_EQ(cur->masked_tree_count(), 0);
+        EXPECT_EQ(cur->slot_capacity(), 16u);
+        EXPECT_EQ(cur->byte_size(), empty_bytes);
+      }
+
+      max_capacity = std::max(max_capacity, cur->slot_capacity());
+      masked_steps += cur->masked_tree_count() > 0 ? 1 : 0;
+      shared_mask_steps += shared_mask ? 1 : 0;
+      undo_steps += undo ? 1 : 0;
+      snapshot_steps += snapshot ? 1 : 0;
+    }
+  }
+  EXPECT_GT(masked_steps, 0);
+  EXPECT_GT(shared_mask_steps, 0);
+  EXPECT_GT(undo_steps, 0);
+  EXPECT_GT(snapshot_steps, 0);
+  EXPECT_GE(max_capacity, 1024u) << "no batch grew the table";
 }
 
 // ---- the stretch bound on the updated graph -----------------------------

@@ -5,9 +5,10 @@
 // refusals, checkpoint reset() squash semantics and its crash-overlap
 // skip, segment rotation, the wal.append / wal.fsync / wal.recover
 // failpoints (including the disk-full `partial` shape), fsync-policy
-// accounting, a real fork + SIGKILL durability check, and the update
-// journal's typed error satellites. CI runs this under ASan+UBSan and
-// TSan.
+// accounting, a real fork + SIGKILL durability check, boot replay of a
+// ≥10K-record churn log against the one-batch DeltaSet reference, and
+// the update journal's typed error satellites. CI runs this under
+// ASan+UBSan and TSan.
 
 #include <gtest/gtest.h>
 
@@ -26,9 +27,14 @@
 #include <string>
 #include <vector>
 
+#include "core/scheme.h"
+#include "graph/generators.h"
+#include "net/server.h"
 #include "serve/delta.h"
+#include "serve/frozen.h"
 #include "serve/wal.h"
 #include "util/failpoint.h"
+#include "util/random.h"
 
 namespace nors {
 namespace {
@@ -578,6 +584,92 @@ TEST(Wal, SigkillLeavesContiguousDurablePrefix) {
 }
 
 // --- update-journal error satellites (DESIGN.md §13/§14) ---------------
+
+// Boot replay at scale: a log of 10K stationary-churn records (a fixed
+// pool of links repriced between their frozen weight and twice it, one
+// link failed at a time) must recover — through the replay callback and
+// through net::Server's own boot — to exactly the set the whole history
+// yields when folded into one batch over the base image. A correctness
+// test of the replay path, not a timing test.
+TEST(WalReplay, TenThousandChurnRecordsRecoverTheOneBatchReference) {
+  util::Rng rng(1201);
+  const auto g = graph::connected_gnm(200, 600,
+                                      graph::WeightSpec::uniform(1, 16), rng);
+  core::SchemeParams params;
+  params.k = 3;
+  params.seed = 43;
+  const auto fs =
+      serve::FrozenScheme::freeze(core::RoutingScheme::build(g, params));
+
+  std::vector<EdgeUpdate> pool;  // frozen weights
+  for (graph::Vertex u = 0; u < g.n() && pool.size() < 128; ++u) {
+    for (const auto& he : g.neighbors(u)) {
+      if (he.to > u) pool.push_back(EdgeUpdate::weight(u, he.to, he.w));
+    }
+  }
+  std::vector<std::uint8_t> doubled(pool.size(), 0);
+  std::size_t down = pool.size();  // the one failed link, if any
+
+  TempDir td;
+  constexpr std::uint64_t kRecords = 10000;
+  std::vector<EdgeUpdate> history;
+  {
+    Wal w(td.path, {.fsync = FsyncPolicy::kOff}, nullptr);
+    for (std::uint64_t seq = 1; seq <= kRecords; ++seq) {
+      std::vector<EdgeUpdate> b;
+      if (seq % 16 == 1) {  // move the failure to another link
+        if (down < pool.size()) b.push_back(pool[down]);
+        down = static_cast<std::size_t>(rng.uniform(pool.size()));
+        doubled[down] = 0;
+        b.push_back(EdgeUpdate::fail(pool[down].u, pool[down].v));
+      }
+      for (int e = 0; e < 4; ++e) {
+        const auto i = static_cast<std::size_t>(rng.uniform(pool.size()));
+        if (i == down) continue;
+        doubled[i] ^= 1;
+        b.push_back(EdgeUpdate::weight(pool[i].u, pool[i].v,
+                                       pool[i].w * (doubled[i] + 1)));
+      }
+      w.append(seq, false, b);
+      history.insert(history.end(), b.begin(), b.end());
+    }
+  }
+  const auto ref = serve::DeltaSet::apply(fs, nullptr, history);
+  ASSERT_GT(ref->override_count(), 0);
+  ASSERT_EQ(ref->failed_link_count(), 2);
+
+  // The replay callback net::Server boots with: chain every record.
+  std::shared_ptr<const serve::DeltaSet> cur;
+  std::uint64_t replayed = 0;
+  {
+    Wal w(td.path, {}, [&](const WalRecord& r) {
+      cur = serve::DeltaSet::apply(fs, r.snapshot ? nullptr : cur.get(),
+                                   r.events);
+      ++replayed;
+    });
+    EXPECT_EQ(w.last_seq(), kRecords);
+  }
+  ASSERT_EQ(replayed, kRecords);
+  EXPECT_EQ(cur->seq(), kRecords);
+  EXPECT_EQ(cur->sorted_overrides(), ref->sorted_overrides());
+  EXPECT_EQ(cur->failed_link_count(), ref->failed_link_count());
+  EXPECT_EQ(cur->masked_tree_count(), ref->masked_tree_count());
+  for (std::int32_t t = 0; t < fs.num_trees(); ++t) {
+    ASSERT_EQ(cur->tree_masked(t), ref->tree_masked(t)) << "tree " << t;
+  }
+
+  // The daemon's boot path over the same log: an empty batch changes
+  // nothing, so its ack reports the recovered generation's shape.
+  net::NetServerOptions opt;
+  opt.wal_dir = td.path;
+  opt.fsync = FsyncPolicy::kOff;
+  net::Server server(serve::FrozenScheme::load(fs.save()), opt);
+  EXPECT_EQ(server.stats().update_seq, static_cast<std::int64_t>(kRecords));
+  const auto ack = server.apply_updates({});
+  EXPECT_EQ(ack.overrides, ref->override_count());
+  EXPECT_EQ(ack.failed_links, ref->failed_link_count());
+  EXPECT_EQ(ack.masked_trees, ref->masked_tree_count());
+}
 
 TEST(UpdateJournal, ParseErrorNamesBatchAndLine) {
   try {

@@ -275,13 +275,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "updates: gen %llu — %lld applied, %lld unknown, "
                      "%lld overrides, %lld failed links, %lld masked "
-                     "trees\n",
+                     "trees, %zu delta bytes\n",
                      static_cast<unsigned long long>(ack.seq),
                      static_cast<long long>(ack.applied),
                      static_cast<long long>(ack.unknown_edges),
                      static_cast<long long>(ack.overrides),
                      static_cast<long long>(ack.failed_links),
-                     static_cast<long long>(ack.masked_trees));
+                     static_cast<long long>(ack.masked_trees),
+                     server.delta_bytes());
       }
     }
 
