@@ -7,7 +7,10 @@
 // sharded front-end over the mapped image); the Thorup–Zwick distance
 // oracle, frozen the same way, is the sequential-baseline row. The delta
 // row drives stationary edge churn through DeltaSet::apply (DESIGN.md
-// §13): the per-batch cost of layering live updates over the image.
+// §13): the per-batch cost of layering live updates over the image. The
+// overlay row serves the query stream through route_batch_overlay over
+// snapshots of that churn, one link down in each: the share of queries
+// answered while a link is failed, and the rate they are answered at.
 //
 // Runtime knobs (all recorded in the emitted JSON):
 //   --threads=T   max worker threads of the RouteServer sweep
@@ -405,7 +408,10 @@ int main(int argc, char** argv) {
   // 64-event batches over a 4096-link pool with one link down, chained
   // the way net::Server publishes generations. The first batches bring
   // the override set to its steady size untimed; each timed apply pays
-  // one flat copy of its predecessor plus O(1) per event.
+  // one flat copy of its predecessor plus O(1) per event. Every
+  // kTimed / kSnapshots-th generation is kept for the overlay row.
+  constexpr std::size_t kSnapshots = 8;
+  std::vector<std::shared_ptr<const serve::DeltaSet>> snapshots;
   {
     constexpr std::size_t kEvents = 64, kPool = 4096, kWarm = 512,
                           kTimed = 4096;
@@ -423,6 +429,7 @@ int main(int argc, char** argv) {
       auto next = serve::DeltaSet::apply(mapped, cur.get(), batches[b]);
       apply_us.push_back(t.seconds() * 1e6);
       cur = std::move(next);
+      if ((b - kWarm) % (kTimed / kSnapshots) == 0) snapshots.push_back(cur);
     }
     const double wall = total.seconds();
     std::sort(apply_us.begin(), apply_us.end());
@@ -453,6 +460,59 @@ int main(int argc, char** argv) {
         .field("failed_links", cur->failed_link_count())
         .field("masked_trees", cur->masked_tree_count())
         .field("delta_bytes", static_cast<std::int64_t>(cur->byte_size()));
+  }
+
+  // ---- serving through the churn: route_batch_overlay ------------------
+  // Slice j of the query stream is answered over snapshot j (one failed
+  // link each, ~4000 repriced ones), single thread, no table cache. A
+  // query is refused only when every candidate tree's path to its
+  // destination crosses the failed link (DESIGN.md §13.2).
+  {
+    serve::BatchStats bs;
+    serve::NoTableCache none;
+    const std::size_t slice = queries.size() / snapshots.size();
+    bench::WallTimer t;
+    for (std::size_t j = 0; j < snapshots.size(); ++j) {
+      mapped.route_batch_overlay(queries.data() + j * slice, slice,
+                                 out.data() + j * slice, none, *snapshots[j],
+                                 &bs);
+    }
+    const double wall = t.seconds();
+    const std::size_t served = slice * snapshots.size();
+    NORS_CHECK_MSG(bs.completed == static_cast<std::int64_t>(served),
+                   "overlay row lost queries");
+    const double q = static_cast<double>(served);
+    const double answered_frac =
+        static_cast<double>(std::count_if(
+            out.begin(), out.begin() + static_cast<std::ptrdiff_t>(served),
+            [](const serve::Decision& d) { return d.ok; })) /
+        q;
+    const double rerouted_frac = static_cast<double>(bs.masked) / q;
+    const double qps = q / wall;
+    double failed_links = 0, masked_trees = 0;  // per-snapshot means
+    for (const auto& s : snapshots) {
+      failed_links += static_cast<double>(s->failed_link_count()) / kSnapshots;
+      masked_trees += static_cast<double>(s->masked_tree_count()) / kSnapshots;
+    }
+    std::printf(
+        "overlay: %zu queries over %zu churn snapshots (%.1f failed link "
+        "directions, %.1f masked trees each): answered %.4f  re-routed "
+        "%.4f  %.0f queries/s\n",
+        served, snapshots.size(), failed_links, masked_trees, answered_frac,
+        rerouted_frac, qps);
+    report.row()
+        .field("row", std::string("overlay"))
+        .field("n", n)
+        .field("k", k)
+        .field("seed", static_cast<std::int64_t>(flags.seed))
+        .field("hw_threads", static_cast<std::int64_t>(hw))
+        .field("snapshots", static_cast<std::int64_t>(snapshots.size()))
+        .field("queries", static_cast<std::int64_t>(served))
+        .field("failed_links_mean", failed_links)
+        .field("masked_trees_mean", masked_trees)
+        .field("answered_frac", answered_frac)
+        .field("rerouted_frac", rerouted_frac)
+        .field("qps", qps);
   }
 
   std::remove(map_path.c_str());

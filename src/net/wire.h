@@ -199,8 +199,8 @@ struct WireStats {
   std::int64_t timeouts = 0;
   std::int64_t stalls = 0;
   // Live-update counters (DESIGN.md §13): update batches applied and
-  // published as generations; answers that fell back past a masked tree;
-  // answers that crossed a weight-patched link.
+  // published as generations; answers re-routed after their first-choice
+  // path met a failed link; answers that crossed a weight-patched link.
   std::int64_t updates = 0;
   std::int64_t masked = 0;
   std::int64_t repaired = 0;
@@ -225,7 +225,7 @@ struct UpdateAck {
   std::int64_t unknown_edges = 0;  // batch events naming absent edges
   std::int64_t overrides = 0;      // cumulative patched link directions
   std::int64_t failed_links = 0;   // cumulative failed link directions
-  std::int64_t masked_trees = 0;   // trees masked under the failures
+  std::int64_t masked_trees = 0;   // trees with >= 1 failed link
 };
 
 void encode_route_request(std::vector<std::uint8_t>& body,

@@ -39,16 +39,17 @@ struct DeltaStats {
   std::int64_t unknown_edges = 0;  // batch events naming absent edges
   std::int64_t overrides = 0;      // cumulative patched link directions
   std::int64_t failed_links = 0;   // cumulative failed link directions
-  std::int64_t masked_trees = 0;   // trees unusable under the failures
+  std::int64_t masked_trees = 0;   // trees with >= 1 failed edge
 };
 
-/// An immutable set of link overrides + the tree mask they induce over one
-/// FrozenScheme — the overlay the batch engine consults per hop
-/// (FrozenScheme::route_batch_overlay; DESIGN.md §13). Built only through
-/// apply(), which layers a batch of EdgeUpdates over a predecessor set and
-/// returns a *new* DeltaSet: readers of the predecessor are never
-/// disturbed, which is what lets net::Server publish each applied batch as
-/// a refcounted generation while in-flight batches finish on the old one.
+/// An immutable set of link overrides over one FrozenScheme — the overlay
+/// the batch engine consults per hop (FrozenScheme::route_batch_overlay;
+/// DESIGN.md §13) — plus the tree mask the failures induce, kept as a
+/// stats view. Built only through apply(), which layers a batch of
+/// EdgeUpdates over a predecessor set and returns a *new* DeltaSet:
+/// readers of the predecessor are never disturbed, which is what lets
+/// net::Server publish each applied batch as a refcounted generation
+/// while in-flight batches finish on the old one.
 ///
 /// Policy (DESIGN.md §13):
 ///  - Weight changes are repaired in place: the walk still follows the
@@ -56,14 +57,18 @@ struct DeltaStats {
 ///    the new weight. For weights within a factor α of the frozen ones the
 ///    served length is within α² of the frozen estimate, so stretch stays
 ///    ≤ α²·(4k−5).
-///  - Failures mask: every cluster tree that routes across a failed link
-///    is masked, and the tree scan falls back to the first *surviving*
-///    tree covering the pair (Algorithm 1 order, so the fallback is
-///    deterministic and its stretch bound is the scheme's own bound on
-///    that tree). Masking is exact, not conservative: an edge {x, y} is an
+///  - Failures are path-exact: link_patch() reports a failed link as
+///    kFailed, and a walk that meets one is abandoned and resumes the
+///    tree scan at the next candidate (Algorithm 1 order, so the re-route
+///    is deterministic). A pair whose first-choice path avoids every
+///    failure is served exactly as before, even when its tree contains a
+///    failed edge.
+///  - The tree mask marks every cluster tree with a failed edge — the
+///    count UpdateAck, DeltaStats and the ops surface report; routing
+///    does not read it. It is exact, not conservative: an edge {x, y} is an
 ///    edge of tree T iff the child endpoint's table slot in T points back
 ///    across it (parent_port, or up_port at subtree roots), so scanning
-///    the two endpoints' table slabs finds exactly the trees that break.
+///    the two endpoints' table slabs finds exactly those trees.
 ///  - The mask is a function of the sorted failed-link list alone: an
 ///    apply that changes the list rebuilds the mask from it, so reviving
 ///    a link (re-weighting a failed edge) unmasks any tree whose only
@@ -74,18 +79,21 @@ class DeltaSet {
   // ---------------------------------------------------- overlay concept --
   static constexpr bool kActive = true;
 
-  bool tree_masked(std::int32_t tree) const {
-    return (mask_[static_cast<std::size_t>(tree) >> 6] >>
-            (static_cast<unsigned>(tree) & 63)) &
-           1u;
-  }
-
   LinkPatch link_patch(std::int64_t link, graph::Dist& w) const {
     const Slot& s = slots_[probe_for(link)];
     if (s.key == kEmpty) return LinkPatch::kNone;
     if (s.w < 0) return LinkPatch::kFailed;
     w = s.w;
     return LinkPatch::kWeight;
+  }
+
+  // ---------------------------------------------------------- stats view --
+
+  /// True when `tree` contains a failed link (see masked_tree_count()).
+  bool tree_masked(std::int32_t tree) const {
+    return (mask_[static_cast<std::size_t>(tree) >> 6] >>
+            (static_cast<unsigned>(tree) & 63)) &
+           1u;
   }
 
   // ------------------------------------------------------------ building --

@@ -34,9 +34,9 @@ struct Query {
 /// variant). `completed`/`hops` cover queries answered so far, so on a
 /// mid-batch exception they describe exactly the prefix that finished.
 /// `masked`/`repaired` stay zero unless an overlay is interposed
-/// (route_batch_overlay, serve/delta.h): masked counts queries whose
-/// tree choice skipped at least one masked tree (the fallback re-route),
-/// repaired counts queries that crossed at least one weight-patched link.
+/// (route_batch_overlay, serve/delta.h): masked counts queries re-routed
+/// after their first-choice path met a failed link, repaired counts
+/// queries whose served path crossed at least one weight-patched link.
 struct BatchStats {
   std::int64_t completed = 0;
   std::int64_t hops = 0;
@@ -58,8 +58,8 @@ enum class LinkPatch : std::uint8_t {
 /// tests and repair policies can tell exactly which answers the delta
 /// layer altered.
 struct OverlayTouch {
-  bool fell_back = false;  // skipped >= 1 masked tree in the tree scan
-  bool repaired = false;   // crossed >= 1 weight-patched link
+  bool fell_back = false;  // re-routed: first-choice path met a failed link
+  bool repaired = false;   // served path crossed >= 1 weight-patched link
 };
 
 /// The null overlay: every route_* entry point without an explicit
@@ -67,14 +67,15 @@ struct OverlayTouch {
 /// probes out of the hot path entirely (pinned by the CI perf floor).
 ///
 /// A real overlay (serve/delta.h's DeltaSet) models the *RouteOverlay
-/// concept*: `kActive`, tree_masked(tree) — true when routing must not
-/// use that cluster tree — and link_patch(link_idx, w) over the global
+/// concept*: `kActive` and link_patch(link_idx, w) over the global
 /// fused-link-map index adj_off()[x] + port, which may rewrite `w` and
-/// returns what kind of patch applied. Overlays are immutable while any
+/// returns what kind of patch applied. Failure handling is path-exact:
+/// a walk that meets a kFailed link is abandoned and the tree scan
+/// resumes at the next candidate, so a pair is re-routed only when its
+/// own tree path crosses a failed link. Overlays are immutable while any
 /// walk reads them; generation swap, not mutation, is the update model.
 struct NoOverlay {
   static constexpr bool kActive = false;
-  bool tree_masked(std::int32_t) const { return false; }
   LinkPatch link_patch(std::int64_t, graph::Dist&) const {
     return LinkPatch::kNone;
   }
@@ -347,11 +348,11 @@ class FrozenScheme {
   }
 
   /// The delta-serving batch engine (DESIGN.md §13): identical pipeline,
-  /// but the tree scan skips trees the overlay masks (fallback re-route
-  /// through the surviving tree set) and every link crossing consults
-  /// link_patch() — failed links are never crossed (masking guarantees
-  /// it; the engine checks), weight patches rewrite the hop's length
-  /// contribution. With NoOverlay this is exactly route_batch_cached().
+  /// but every link crossing consults link_patch() — weight patches
+  /// rewrite the hop's length contribution, and a failed link is never
+  /// crossed: the lane abandons that walk and resumes the tree scan at
+  /// the next candidate (the fallback re-route). With NoOverlay this is
+  /// exactly route_batch_cached().
   template <typename Cache, typename Overlay>
   void route_batch_overlay(const Query* queries, std::size_t count,
                            Decision* out, Cache& cache, const Overlay& ov,
@@ -360,7 +361,7 @@ class FrozenScheme {
   }
 
   /// Single-query overlay route; `touch`, if given, reports whether the
-  /// answer fell back past a masked tree or crossed a patched link.
+  /// answer was re-routed past a failed link or crossed a patched link.
   template <typename Overlay>
   Decision route_overlay(graph::Vertex u, graph::Vertex v, const Overlay& ov,
                          OverlayTouch* touch = nullptr,
@@ -548,15 +549,17 @@ class FrozenScheme {
 
   /// Finds the cluster tree a (u, v) walk uses — the 4k-5 trick slab at a
   /// level-0 u, else the label scan (Algorithm 1 order, exactly as the
-  /// live route()). Returns the tree (or -1: coverage failure), fills
-  /// `dest` and the decision's tree fields. `lookup` answers "is u in
-  /// tree t" (index or -1), letting callers interpose a cache. Trees the
-  /// overlay masks are skipped — the fallback re-route — with
-  /// `fell_back` set when any skip happened for this query.
-  template <typename IndexLookup, typename Overlay>
+  /// live route()). Candidates are numbered by ordinal: 0 is the trick
+  /// slab, 1 + i is label row i. The scan starts at ordinal `ord` and
+  /// leaves the picked candidate's ordinal there, so a walk that met a
+  /// failed link resumes at `ord + 1`. Returns the tree (or -1: no
+  /// candidate left), fills `dest` and the decision's tree fields.
+  /// `lookup` answers "is u in tree t" (index or -1), letting callers
+  /// interpose a cache.
+  template <typename IndexLookup>
   std::int32_t find_tree(graph::Vertex u, graph::Vertex v,
-                         IndexLookup&& lookup, const Overlay& ov,
-                         bool& fell_back, DestView& dest, Decision& r) const;
+                         IndexLookup&& lookup, std::int32_t& ord,
+                         DestView& dest, Decision& r) const;
 
   template <typename Cache, typename Overlay>
   void route_batch_impl(const Query* queries, std::size_t count,
@@ -653,16 +656,16 @@ class FrozenScheme {
   std::unique_ptr<Mapping> mapping_;  // map() path; null when owned
 };
 
-template <typename IndexLookup, typename Overlay>
+template <typename IndexLookup>
 std::int32_t FrozenScheme::find_tree(graph::Vertex u, graph::Vertex v,
-                                     IndexLookup&& lookup, const Overlay& ov,
-                                     bool& fell_back, DestView& dest,
-                                     Decision& r) const {
+                                     IndexLookup&& lookup, std::int32_t& ord,
+                                     DestView& dest, Decision& r) const {
   // Find the tree (Algorithm 1 + the 4k-5 trick), mirroring the live
-  // RoutingScheme::route() decision order exactly. Masked trees are
-  // skipped in the same order, so the fallback is deterministic: the
-  // first *surviving* tree Algorithm 1 would pick.
-  if (label_trick_ != 0 && level_[static_cast<std::size_t>(u)] == 0) {
+  // RoutingScheme::route() decision order exactly. A resumed scan walks
+  // the same order from a later ordinal, so the fallback is
+  // deterministic: the first candidate whose path avoids every failure.
+  if (ord == 0 && label_trick_ != 0 &&
+      level_[static_cast<std::size_t>(u)] == 0) {
     // Is u a level-0 cluster root holding v's tree label locally?
     std::size_t a = 0, b = trick_roots_.size();
     while (a < b) {
@@ -675,54 +678,40 @@ std::int32_t FrozenScheme::find_tree(graph::Vertex u, graph::Vertex v,
     }
     if (a < trick_roots_.size() && trick_roots_[a].root == u) {
       const TrickRoot& tr = trick_roots_[a];
-      bool usable = true;
-      if constexpr (Overlay::kActive) {
-        if (ov.tree_masked(tr.tree)) {
-          fell_back = true;  // trick tree masked: fall through to labels
-          usable = false;
+      std::int64_t lo = tr.off, hi = tr.off + tr.len;
+      while (lo < hi) {
+        const std::int64_t mid = (lo + hi) / 2;
+        if (tricks_[static_cast<std::size_t>(mid)].dest < v) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
         }
       }
-      if (usable) {
-        std::int64_t lo = tr.off, hi = tr.off + tr.len;
-        while (lo < hi) {
-          const std::int64_t mid = (lo + hi) / 2;
-          if (tricks_[static_cast<std::size_t>(mid)].dest < v) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
-          }
-        }
-        if (lo < tr.off + tr.len &&
-            tricks_[static_cast<std::size_t>(lo)].dest == v) {
-          dest = view_of(tricks_[static_cast<std::size_t>(lo)]);
-          r.tree_root = u;
-          r.tree_level = 0;
-          r.via_trick = true;
-          return tr.tree;
-        }
+      if (lo < tr.off + tr.len &&
+          tricks_[static_cast<std::size_t>(lo)].dest == v) {
+        dest = view_of(tricks_[static_cast<std::size_t>(lo)]);
+        r.tree_root = u;
+        r.tree_level = 0;
+        r.via_trick = true;
+        return tr.tree;
       }
     }
   }
   const LabelSlot* lv = labels_.data() +
                         static_cast<std::size_t>(v) *
                             static_cast<std::size_t>(k_);
-  for (std::int32_t i = 0; i < k_; ++i) {
+  for (std::int32_t i = ord == 0 ? 0 : ord - 1; i < k_; ++i) {
     const LabelSlot& ls = lv[i];
     if (ls.member == 0) continue;  // v ∉ C̃(ẑ_i(v)): keep searching
     if (ls.tree < 0) continue;     // pivot has no cluster tree
-    if constexpr (Overlay::kActive) {
-      if (ov.tree_masked(ls.tree)) {
-        fell_back = true;  // tree damaged by a failure: re-route
-        continue;
-      }
-    }
     if (lookup(u, ls.tree) < 0) continue;  // u ∉ C̃(ẑ_i(v))
     dest = view_of(ls);
     r.tree_root = ls.pivot;
     r.tree_level = i;
+    ord = i + 1;
     return ls.tree;
   }
-  return -1;  // coverage failure (prevented by build; possible under masks)
+  return -1;  // coverage failure (prevented by build; possible past failures)
 }
 
 template <typename TableLookup, typename Overlay>
@@ -742,21 +731,19 @@ Decision FrozenScheme::route_core(graph::Vertex u, graph::Vertex v,
   }
 
   bool fell_back = false;
+  bool repaired = false;
+  std::int32_t ord = 0;
   DestView dest;
-  const std::int32_t tree = find_tree(
-      u, v,
-      [&lookup](graph::Vertex x, std::int32_t t) {
-        // find_tree wants an index-or-negative probe; adapt the slot
-        // lookup (nullptr ⟺ not a member, per the route_with contract).
-        return lookup(x, t) == nullptr ? -1 : 0;
-      },
-      ov, fell_back, dest, r);
-  if (touch != nullptr) touch->fell_back = fell_back;
-  if (tree < 0) return r;  // coverage failure (prevented by build)
+  // find_tree wants an index-or-negative probe; adapt the slot lookup
+  // (nullptr ⟺ not a member, per the route_with contract).
+  auto probe = [&lookup](graph::Vertex x, std::int32_t t) {
+    return lookup(x, t) == nullptr ? -1 : 0;
+  };
+  std::int32_t tree = find_tree(u, v, probe, ord, dest, r);
 
   // Walk the unique tree path over the frozen link map.
   graph::Vertex x = u;
-  while (x != v) {
+  while (tree >= 0 && x != v) {
     const TableSlot* t = lookup(x, tree);
     NORS_CHECK_MSG(t != nullptr, "walk left cluster tree " << tree);
     const std::int32_t port = next_port(*t, x, dest);
@@ -771,14 +758,18 @@ Decision FrozenScheme::route_core(graph::Vertex u, graph::Vertex v,
     graph::Dist w = link.w;
     if constexpr (Overlay::kActive) {
       const LinkPatch lp = ov.link_patch(base + port, w);
-      if (lp != LinkPatch::kNone) {
-        // Masking is exact (every tree edge is some endpoint's parent
-        // edge), so a surviving tree never crosses a failed link.
-        NORS_CHECK_MSG(lp != LinkPatch::kFailed,
-                       "walk crossed a failed link " << x << " port "
-                                                     << port);
-        if (touch != nullptr) touch->repaired = true;
+      if (lp == LinkPatch::kFailed) {
+        // This tree path is broken: restart from u on the next candidate.
+        fell_back = true;
+        repaired = false;
+        r = Decision{};
+        if (path != nullptr) path->resize(1);
+        x = u;
+        ++ord;
+        tree = find_tree(u, v, probe, ord, dest, r);
+        continue;
       }
+      if (lp == LinkPatch::kWeight) repaired = true;
     }
     r.length += w;
     ++r.hops;
@@ -786,7 +777,11 @@ Decision FrozenScheme::route_core(graph::Vertex u, graph::Vertex v,
     if (path != nullptr) path->push_back(x);
     NORS_CHECK_MSG(r.hops <= 4 * n_, "routing loop detected");
   }
-  r.ok = true;
+  if (touch != nullptr) {
+    touch->fell_back = fell_back;
+    touch->repaired = repaired;
+  }
+  r.ok = tree >= 0;  // -1: coverage failure (prevented by build)
   return r;
 }
 
@@ -807,12 +802,13 @@ void FrozenScheme::route_batch_impl(const Query* queries, std::size_t count,
     St state = St::kIdle;
     graph::Vertex u = 0, v = 0, x = 0;
     std::int32_t tree = -1;
+    std::int32_t ord = 0;  // find_tree candidate ordinal of `tree`
     std::int64_t slab_lo = 0, slab_hi = 0;
     const TableSlot* slot = nullptr;
     DestView dest;
     Decision d;
     std::size_t pos = 0;
-    bool fell_back = false;  // first-choice tree masked, re-routed
+    bool fell_back = false;  // first-choice path met a failed link
     bool repaired = false;   // walk crossed an overridden-weight link
   };
 
@@ -860,6 +856,7 @@ void FrozenScheme::route_batch_impl(const Query* queries, std::size_t count,
       L.x = u;
       L.d = Decision{};
       L.pos = i;
+      L.ord = 0;
       L.fell_back = false;
       L.repaired = false;
       // One round of lead time for the find-tree reads: u's level and
@@ -915,11 +912,11 @@ void FrozenScheme::route_batch_impl(const Query* queries, std::size_t count,
           break;
 
         case Lane::St::kFind: {
-          L.tree =
-              find_tree(L.u, L.v, lookup_idx, ov, L.fell_back, L.dest, L.d);
+          L.tree = find_tree(L.u, L.v, lookup_idx, L.ord, L.dest, L.d);
           if (L.tree < 0) {
             // Coverage failure: report !ok, exactly like route(). Under an
-            // overlay this can also mean every covering tree was masked.
+            // overlay this can also mean every covering tree's path to v
+            // crosses a failed link.
             out[L.pos] = L.d;
             ++bs.completed;
             if (L.fell_back) ++bs.masked;
@@ -996,15 +993,18 @@ void FrozenScheme::route_batch_impl(const Query* queries, std::size_t count,
           graph::Dist w = link.w;
           if constexpr (Overlay::kActive) {
             const LinkPatch lp = ov.link_patch(base + port, w);
-            if (lp != LinkPatch::kNone) {
-              // Masking is exact (every tree edge is some endpoint's
-              // parent edge), so a surviving tree never crosses a failed
-              // link.
-              NORS_CHECK_MSG(lp != LinkPatch::kFailed,
-                             "walk crossed a failed link " << L.x << " port "
-                                                           << port);
-              L.repaired = true;
+            if (lp == LinkPatch::kFailed) {
+              // This tree path is broken: restart the query from u and
+              // resume the tree scan at the next candidate.
+              L.fell_back = true;
+              L.repaired = false;
+              L.d = Decision{};
+              L.x = L.u;
+              ++L.ord;
+              L.state = Lane::St::kFind;
+              break;
             }
+            if (lp == LinkPatch::kWeight) L.repaired = true;
           }
           L.d.length += w;
           ++L.d.hops;

@@ -40,7 +40,7 @@ struct ShardStats {
   std::int64_t hops = 0;         // next-hop decisions evaluated
   std::int64_t cache_hits = 0;   // 0 unless cache_entries > 0
   std::int64_t cache_misses = 0;
-  std::int64_t masked = 0;       // answers re-routed past a masked tree
+  std::int64_t masked = 0;       // answers re-routed past a failed link
   std::int64_t repaired = 0;     // answers that crossed a patched link
   double p50_us = 0;
   double p99_us = 0;
@@ -103,14 +103,14 @@ class ShardedRouteServer {
   Batch submit(const Query* queries, std::size_t count, Decision* out);
 
   /// As submit(), answering through the delta overlay (serve/delta.h):
-  /// masked trees are skipped with a fallback re-route, patched links
-  /// charge their overridden weight, and the batch pins `delta` until it
-  /// retires — the generation-swap contract net::Server relies on. A null
-  /// delta serves the unpatched image (identical to plain submit()). When
-  /// a worker sees a different delta sequence than its previous batch it
-  /// clears its table cache (indices are delta-invariant today, but the
-  /// invalidation is keyed by generation, not by that implementation
-  /// detail).
+  /// a walk that meets a failed link re-routes through the next tree
+  /// candidate, patched links charge their overridden weight, and the
+  /// batch pins `delta` until it retires — the generation-swap contract
+  /// net::Server relies on. A null delta serves the unpatched image
+  /// (identical to plain submit()). When a worker sees a different delta
+  /// sequence than its previous batch it clears its table cache (indices
+  /// are delta-invariant today, but the invalidation is keyed by
+  /// generation, not by that implementation detail).
   Batch submit(const Query* queries, std::size_t count, Decision* out,
                std::shared_ptr<const DeltaSet> delta);
   Batch submit(const Query* queries, std::size_t count, Decision* out,

@@ -2,14 +2,16 @@
 // frozen image. Covered here: exact masking (a failed edge masks
 // precisely the cluster trees routing across it), in-place weight repair
 // (served lengths charge the overridden weights along the unchanged
-// frozen route), revive-by-reweight unmasking, a differential model
-// test of chained applies against a one-batch reference (including the
-// probe table's no-ratchet capacity bound), journal parsing, the
-// sharded submit path with a delta attached, the stretch bound on the
-// *updated* graph, and the update-while-serving wire stress: ≥10k
-// journaled updates applied through kUpdate admin frames while four
-// pipelined clients query continuously. CI runs this under ASan+UBSan
-// and TSan.
+// frozen route), revive-by-reweight unmasking, path-exact failure
+// handling (a pair is re-routed only when its own first-choice path
+// crosses a failed link, identically on every serving path), a
+// differential model test of chained applies against a one-batch
+// reference (including the probe table's no-ratchet capacity bound),
+// journal parsing, the sharded submit path with a delta attached, the
+// stretch bound on the *updated* graph, and the update-while-serving
+// wire stress: ≥10k journaled updates applied through kUpdate admin
+// frames while four pipelined clients query continuously. CI runs this
+// under ASan+UBSan and TSan.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +31,7 @@
 #include "serve/delta.h"
 #include "serve/frozen.h"
 #include "serve/shard.h"
+#include "serve/table_cache.h"
 #include "util/random.h"
 
 namespace nors {
@@ -135,6 +138,40 @@ graph::Dist path_length(const graph::WeightedGraph& g, const EdgeState& state,
   return len;
 }
 
+/// True when `path` crosses an edge `state` marks failed.
+bool crosses_failure(const EdgeState& state, const std::vector<Vertex>& path) {
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    const auto it = state.find(key_of(path[i], path[i + 1]));
+    if (it != state.end() && it->second == EdgeUpdate::kFail) return true;
+  }
+  return false;
+}
+
+/// Reference mask of a set of failed edges: tree T contains edge {a, b}
+/// iff some table slab entry of a or b points back across it
+/// (parent_port at subtree members, up_port at subtree roots).
+std::set<std::int32_t> reference_mask(const serve::FrozenScheme& fs,
+                                      const std::vector<EdgeKey>& failed) {
+  std::set<std::int32_t> out;
+  const auto tables = fs.tables();
+  const auto table_tree = fs.table_tree();
+  const auto table_off = fs.table_off();
+  for (const auto& [a, b] : failed) {
+    for (const Vertex x : {a, b}) {
+      const std::int32_t port = fs.find_port(x, x == a ? b : a);
+      EXPECT_GE(port, 0);
+      for (std::int64_t i = table_off[static_cast<std::size_t>(x)];
+           i < table_off[static_cast<std::size_t>(x) + 1]; ++i) {
+        const auto& slot = tables[static_cast<std::size_t>(i)];
+        if (slot.parent_port == port || slot.up_port == port) {
+          out.insert(table_tree[static_cast<std::size_t>(i)]);
+        }
+      }
+    }
+  }
+  return out;
+}
+
 // ---- overlay semantics --------------------------------------------------
 
 TEST(DeltaSet, EmptyBatchBumpsSeqAndPatchesNothing) {
@@ -236,26 +273,7 @@ TEST(DeltaSet, FailureMasksExactlyTheTreesCrossingTheLink) {
     const auto [a, b] = key;
     const std::vector<EdgeUpdate> fail_batch{EdgeUpdate::fail(a, b)};
     const auto ds = DeltaSet::apply(fs, nullptr, fail_batch);
-
-    // Reference mask: tree T contains edge {a, b} iff some table slab
-    // entry of a or b points back across it (parent_port at subtree
-    // members, up_port at subtree roots).
-    std::set<std::int32_t> expect_masked;
-    const auto tables = fs.tables();
-    const auto table_tree = fs.table_tree();
-    const auto table_off = fs.table_off();
-    for (const Vertex x : {a, b}) {
-      const Vertex other = x == a ? b : a;
-      const std::int32_t port = fs.find_port(x, other);
-      ASSERT_GE(port, 0);
-      for (std::int64_t i = table_off[static_cast<std::size_t>(x)];
-           i < table_off[static_cast<std::size_t>(x) + 1]; ++i) {
-        const auto& slot = tables[static_cast<std::size_t>(i)];
-        if (slot.parent_port == port || slot.up_port == port) {
-          expect_masked.insert(table_tree[static_cast<std::size_t>(i)]);
-        }
-      }
-    }
+    const auto expect_masked = reference_mask(fs, {key});
 
     EXPECT_EQ(ds->masked_tree_count(),
               static_cast<std::int64_t>(expect_masked.size()));
@@ -524,6 +542,199 @@ TEST(DeltaSetModel, ChainedAppliesMatchTheOneBatchReference) {
   EXPECT_GE(max_capacity, 1024u) << "no batch grew the table";
 }
 
+// ---- path-exact failure handling ----------------------------------------
+
+/// Whether any of `path`'s links carries a weight other than its frozen
+/// one under `state` (a failed link never does: served paths avoid them).
+bool crosses_reprice(const std::map<EdgeKey, graph::Dist>& frozen,
+                     const EdgeState& state, const std::vector<Vertex>& path) {
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    const EdgeKey key = key_of(path[i], path[i + 1]);
+    const auto it = state.find(key);
+    if (it != state.end() && it->second != frozen.at(key)) return true;
+  }
+  return false;
+}
+
+/// The edges of cluster tree `tree`: each non-root member's link toward
+/// its parent (parent_port inside a subtree, up_port at a subtree root).
+std::vector<EdgeKey> tree_edges(const serve::FrozenScheme& fs,
+                                std::int32_t tree) {
+  std::vector<EdgeKey> out;
+  for (Vertex x = 0; x < fs.n(); ++x) {
+    const auto* slot = fs.table_slot(x, tree);
+    if (slot == nullptr) continue;
+    for (const std::int32_t port : {slot->parent_port, slot->up_port}) {
+      if (port == graph::kNoPort) continue;
+      const auto& link =
+          fs.link_map()[static_cast<std::size_t>(
+              fs.adj_off()[static_cast<std::size_t>(x)] + port)];
+      out.push_back(key_of(x, link.to));
+    }
+  }
+  return out;
+}
+
+// Seeded failure/reprice sets, each with one more failure planted on an
+// edge of a level-0 root's trick tree (whose other edges are repriced).
+// For every sampled pair (all pairs
+// from that root, plus uniform ones): the served path never crosses a
+// failed link; a pair whose unpatched first-choice path avoids every
+// failure is served exactly that decision at its repriced length, even
+// when its tree is masked; and route_overlay, route_batch_overlay
+// (uncached and cached) and the sharded submit agree on every answer and
+// on the masked/repaired totals. The tree mask itself stays the exact
+// reference mask — it is the stats view, no longer a read-path filter.
+TEST(DeltaSetPathExact, OnlyPairsWhosePathMeetsAFailureAreReRouted) {
+  const auto g = test_graph(140, 1201);
+  const auto scheme = build_scheme(g, 3, 43);
+  const auto fs = serve::FrozenScheme::freeze(scheme);
+  ASSERT_TRUE(fs.label_trick());
+  const auto edges = all_edges(g);
+  const std::map<EdgeKey, graph::Dist> frozen(edges.begin(), edges.end());
+
+  // Level-0 roots whose trick tree has at least one edge.
+  std::vector<Vertex> trick_roots;
+  for (Vertex u = 0; u < fs.n(); ++u) {
+    if (fs.vertex_level(u) == 0 && scheme.tree_index(u) >= 0 &&
+        !tree_edges(fs, scheme.tree_index(u)).empty()) {
+      trick_roots.push_back(u);
+    }
+  }
+  ASSERT_FALSE(trick_roots.empty());
+
+  util::Rng rng(1213);
+  int masked_clean = 0, trick_masked_clean = 0, rerouted = 0,
+      rerouted_ok = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // The planted tree is repriced everywhere but at its failed edge, so
+    // a walk abandoned in it has usually crossed a repriced link.
+    const Vertex root = trick_roots[rng.uniform(trick_roots.size())];
+    const std::int32_t trick_tree = scheme.tree_index(root);
+    const auto planted_pool = tree_edges(fs, trick_tree);
+    const EdgeKey planted = planted_pool[rng.uniform(planted_pool.size())];
+    std::vector<EdgeUpdate> batch;
+    for (const auto& key : planted_pool) {
+      batch.push_back(
+          EdgeUpdate::weight(key.first, key.second, 2 * frozen.at(key)));
+    }
+    const auto fails = 1 + rng.uniform(3);
+    for (std::uint64_t i = 0; i < fails; ++i) {
+      const auto& [key, w] = edges[rng.uniform(edges.size())];
+      batch.push_back(EdgeUpdate::fail(key.first, key.second));
+    }
+    for (int i = 0; i < 12; ++i) {
+      const auto& [key, w] = edges[rng.uniform(edges.size())];
+      batch.push_back(EdgeUpdate::weight(
+          key.first, key.second,
+          w + static_cast<graph::Dist>(
+                  rng.uniform(static_cast<std::uint64_t>(w) + 1))));
+    }
+    batch.push_back(EdgeUpdate::fail(planted.first, planted.second));
+    EdgeState state;
+    fold_batch(state, batch);
+    const auto ds = DeltaSet::apply(fs, nullptr, batch);
+
+    std::vector<EdgeKey> failed;
+    for (const auto& [key, w] : state) {
+      if (w == EdgeUpdate::kFail) failed.push_back(key);
+    }
+    const auto want_mask = reference_mask(fs, failed);
+    EXPECT_EQ(ds->masked_tree_count(),
+              static_cast<std::int64_t>(want_mask.size()));
+    for (std::int32_t t = 0; t < fs.num_trees(); ++t) {
+      ASSERT_EQ(ds->tree_masked(t), want_mask.count(t) > 0) << "tree " << t;
+    }
+    ASSERT_TRUE(ds->tree_masked(trick_tree));
+
+    auto qs = random_queries(fs.n(), 600, 1217 + trial);
+    for (Vertex v = 0; v < fs.n(); ++v) {
+      if (v != root) qs.push_back({root, v});
+    }
+
+    std::vector<Decision> want(qs.size());
+    std::int64_t want_masked = 0, want_repaired = 0;
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      const auto [u, v] = qs[i];
+      std::vector<Vertex> path, opath;
+      const auto base = fs.route(u, v, &path);
+      ASSERT_TRUE(base.ok);
+      serve::OverlayTouch touch;
+      want[i] = fs.route_overlay(u, v, *ds, &touch, &opath);
+      const auto& d = want[i];
+      if (d.ok) {
+        EXPECT_EQ(path_length(g, state, opath), d.length) << u << "->" << v;
+        EXPECT_EQ(touch.repaired, crosses_reprice(frozen, state, opath));
+      }
+      const bool first_masked =
+          ds->tree_masked(scheme.tree_index(base.tree_root));
+      if (!crosses_failure(state, path)) {
+        // The first choice survives: same decision, repriced length.
+        EXPECT_FALSE(touch.fell_back) << u << "->" << v;
+        ASSERT_TRUE(d.ok) << u << "->" << v;
+        EXPECT_EQ(d.tree_root, base.tree_root);
+        EXPECT_EQ(d.tree_level, base.tree_level);
+        EXPECT_EQ(d.via_trick, base.via_trick);
+        EXPECT_EQ(d.hops, base.hops);
+        EXPECT_EQ(opath, path);
+        EXPECT_EQ(d.length, path_length(g, state, path));
+        masked_clean += first_masked ? 1 : 0;
+        trick_masked_clean += first_masked && base.via_trick ? 1 : 0;
+      } else {
+        EXPECT_TRUE(touch.fell_back) << u << "->" << v;
+        EXPECT_TRUE(first_masked) << "a path met a failure in an unmasked tree";
+        ++rerouted;
+        rerouted_ok += d.ok ? 1 : 0;
+      }
+      want_masked += touch.fell_back ? 1 : 0;
+      want_repaired += touch.repaired ? 1 : 0;
+    }
+
+    auto expect_same = [&](const std::vector<Decision>& got,
+                           std::int64_t masked, std::int64_t repaired,
+                           const char* what) {
+      SCOPED_TRACE(what);
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        ASSERT_EQ(got[i].ok, want[i].ok) << qs[i].u << "->" << qs[i].v;
+        EXPECT_EQ(got[i].length, want[i].length);
+        EXPECT_EQ(got[i].hops, want[i].hops);
+        EXPECT_EQ(got[i].tree_root, want[i].tree_root);
+        EXPECT_EQ(got[i].tree_level, want[i].tree_level);
+        EXPECT_EQ(got[i].via_trick, want[i].via_trick);
+      }
+      EXPECT_EQ(masked, want_masked);
+      EXPECT_EQ(repaired, want_repaired);
+    };
+
+    std::vector<Decision> got(qs.size());
+    serve::NoTableCache none;
+    serve::BatchStats bs;
+    fs.route_batch_overlay(qs.data(), qs.size(), got.data(), none, *ds, &bs);
+    EXPECT_EQ(bs.completed, static_cast<std::int64_t>(qs.size()));
+    expect_same(got, bs.masked, bs.repaired, "route_batch_overlay");
+
+    serve::TableCache cache(fs, 256);
+    serve::BatchStats cbs;
+    fs.route_batch_overlay(qs.data(), qs.size(), got.data(), cache, *ds,
+                           &cbs);
+    expect_same(got, cbs.masked, cbs.repaired, "route_batch_overlay cached");
+
+    serve::ShardedOptions opt;
+    opt.shards = 3;
+    opt.cache_entries = 256;
+    serve::ShardedRouteServer srv(fs, opt);
+    srv.submit(qs.data(), qs.size(), got.data(), ds).wait();
+    const auto totals = srv.totals();
+    expect_same(got, totals.masked, totals.repaired, "sharded submit");
+  }
+  EXPECT_GT(trick_masked_clean, 0)
+      << "no level-0 source kept a clean trick path in a masked tree";
+  EXPECT_GT(masked_clean, trick_masked_clean)
+      << "no label-scan pair kept a clean path in a masked tree";
+  EXPECT_GT(rerouted_ok, 0) << "no re-routed pair was served";
+}
+
 // ---- the stretch bound on the updated graph -----------------------------
 
 TEST(DeltaSet, StretchBoundHoldsOnTheUpdatedGraph) {
@@ -533,13 +744,12 @@ TEST(DeltaSet, StretchBoundHoldsOnTheUpdatedGraph) {
   const auto edges = all_edges(g);
   util::Rng rng(957);
 
-  // Mixed batch: fail a few edges, scale a few weights by ≤ α = 2. A
-  // single edge can sit in a *top-level* cluster tree, and masking one of
-  // those costs every pair whose only covering tree it was — legal under
-  // the mask-or-fallback policy, but it would turn this test into a
-  // coverage test. Greedily keep failures whose cumulative mask stays
-  // small so most pairs retain a surviving covering tree and the stretch
-  // assertion below gets real fallback traffic to measure.
+  // Mixed batch: fail a few edges, scale a few weights by ≤ α = 2. The
+  // failures are picked greedily to keep the cumulative mask small (a
+  // failure in a *top-level* cluster tree leaves pairs whose path crosses
+  // it with no later candidate). Pairs whose first-choice path avoids
+  // every failure keep it, the rest re-route, and with this selection
+  // every sampled pair is served.
   std::vector<EdgeUpdate> batch;
   EdgeState state;
   const std::int64_t mask_budget = fs.num_trees() / 24;
@@ -569,7 +779,7 @@ TEST(DeltaSet, StretchBoundHoldsOnTheUpdatedGraph) {
   const double alpha = 2.0;
   const double bound = alpha * alpha * scheme.stretch_bound() + 1e-9;
 
-  int routed = 0, skipped = 0;
+  int routed = 0, skipped = 0, rerouted = 0;
   for (Vertex u = 0; u < g.n(); u += 5) {
     const auto sp = graph::dijkstra(updated, u);
     for (Vertex v = 2; v < g.n(); v += 7) {
@@ -577,12 +787,8 @@ TEST(DeltaSet, StretchBoundHoldsOnTheUpdatedGraph) {
       serve::OverlayTouch touch;
       std::vector<Vertex> path;
       const auto d = fs.route_overlay(u, v, *ds, &touch, &path);
-      if (!d.ok) {  // every surviving tree missed the pair — legal, rare
-        ++skipped;
-        continue;
-      }
       const auto dist = sp.dist[static_cast<std::size_t>(v)];
-      if (graph::is_inf(dist)) {  // failures disconnected the pair
+      if (!d.ok || graph::is_inf(dist)) {  // no candidate path / cut off
         ++skipped;
         continue;
       }
@@ -595,15 +801,17 @@ TEST(DeltaSet, StretchBoundHoldsOnTheUpdatedGraph) {
       // ...and it must respect the (α-adjusted) stretch bound.
       EXPECT_LE(static_cast<double>(len),
                 bound * static_cast<double>(dist))
-          << u << "->" << v << " masked-fallback=" << touch.fell_back;
+          << u << "->" << v << " re-routed=" << touch.fell_back;
       ++routed;
+      rerouted += touch.fell_back ? 1 : 0;
     }
   }
-  EXPECT_GT(routed, 200);
-  // Masking costs coverage by design (a pair whose every covering tree is
-  // masked is unroutable until a repair); with the mask budget above the
-  // majority of pairs must keep a surviving tree.
-  EXPECT_LT(skipped, routed);
+  // Path-exact failure handling serves all 405 sampled pairs: only the
+  // few whose own first-choice path crosses a failure re-route, and each
+  // of them still finds a clean later candidate.
+  EXPECT_EQ(routed, 405);
+  EXPECT_EQ(skipped, 0);
+  EXPECT_GT(rerouted, 0);
 }
 
 // ---- journal parsing ----------------------------------------------------
@@ -780,9 +988,12 @@ TEST(WireUpdate, TenThousandUpdatesUnderFourPipelinedClients) {
   }
 
   // Final batch: revive every still-failed edge at double weight, so the
-  // head generation keeps plenty of overrides but masks nothing — the
-  // verification sweep below then measures full coverage instead of the
-  // (legal) unroutable pairs a masked top-level tree leaves behind.
+  // head generation keeps plenty of overrides but no failed link. The
+  // verification sweep below then holds every pair to the α² repair
+  // bound: with a third of the links down, a pair whose path crosses a
+  // failure in a top-level tree has no later candidate, and a re-routed
+  // pair's stretch is measured (StretchBoundHoldsOnTheUpdatedGraph), not
+  // proven.
   {
     std::vector<EdgeUpdate> revive;
     for (const auto& [key, w] : all_edges(g)) {

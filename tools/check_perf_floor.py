@@ -59,9 +59,13 @@ def run_check(check, reports):
     best = max(float(r[metric]) for r in rows)
     ok = best >= floor
     label = ", ".join(f"{k}={v}" for k, v in sorted(want.items()))
+
+    def fmt(x):  # rates as integers, fractions with their digits
+        return f"{x:,.0f}" if abs(x) >= 100 else f"{x:.4f}"
+
     print(
-        f"{'OK' if ok else 'FAIL'}: {name} {metric} {best:,.0f} vs floor "
-        f"{floor:,.0f} ({label})"
+        f"{'OK' if ok else 'FAIL'}: {name} {metric} {fmt(best)} vs floor "
+        f"{fmt(floor)} ({label})"
     )
     if not ok:
         print(
