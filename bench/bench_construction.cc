@@ -7,6 +7,11 @@
 // committed snapshot lives in bench/results/ (schema:
 // bench/results/README.md).
 //
+// Each pooled row then runs the serving tail of the pipeline on the scheme
+// it built — FrozenScheme::freeze and a streamed save_file to a temp file —
+// and records freeze_s/save_s; peak_rss_mb is read before that tail, so it
+// stays the construction-only figure it always was.
+//
 // NORS_BENCH_N caps the largest n for smoke runs (e.g. CI sets 8192);
 // NORS_BENCH_THREADS overrides the threaded row's pool size (default 8).
 // Note resolve_threads clamps pools to the hardware concurrency, so on a
@@ -19,10 +24,14 @@
 #include <malloc.h>
 #endif
 
+#include <cstdio>
+#include <filesystem>
+#include <string>
 #include <thread>
 
 #include "common.h"
 #include "core/scheme.h"
+#include "serve/frozen.h"
 #include "util/arena.h"
 
 namespace {
@@ -51,7 +60,8 @@ int main() {
                       "serial vs thread-pooled (k=3, G(n, 3n), w in [1,32])");
   bench::JsonReport report("construction");
   util::TextTable table({"n", "threads", "wall_s", "rounds", "trees",
-                         "peak_rss_mb", "alloc_mb", "arena_reuse_pct"});
+                         "peak_rss_mb", "alloc_mb", "arena_reuse_pct",
+                         "freeze_s", "save_s"});
 
   const int max_n = bench::env_n(1 << 16);
   const int pool = threaded_pool_size();
@@ -83,6 +93,20 @@ int main() {
       const double alloc_mb =
           static_cast<double>(row_stats.bytes_mapped) / (1024.0 * 1024.0);
       const double reuse_pct = row_stats.reuse_pct();
+      double freeze_s = 0, save_s = 0;
+      if (threads == pool) {
+        const bench::WallTimer tf;
+        const auto frozen = serve::FrozenScheme::freeze(s);
+        freeze_s = tf.seconds();
+        const std::string path =
+            (std::filesystem::temp_directory_path() /
+             "nors_bench_construction.frozen")
+                .string();
+        const bench::WallTimer ts;
+        frozen.save_file(path);
+        save_s = ts.seconds();
+        std::remove(path.c_str());
+      }
       if (threads == 1) {
         serial_rounds = s.total_rounds();
       } else {
@@ -98,7 +122,9 @@ int main() {
                          static_cast<std::int64_t>(s.trees().size())),
                      util::TextTable::fmt(rss),
                      util::TextTable::fmt(alloc_mb),
-                     util::TextTable::fmt(reuse_pct)});
+                     util::TextTable::fmt(reuse_pct),
+                     util::TextTable::fmt(freeze_s),
+                     util::TextTable::fmt(save_s)});
       report.row()
           .field("row", "construction")
           .field("n", n)
@@ -110,7 +136,9 @@ int main() {
           .field("trees", static_cast<std::int64_t>(s.trees().size()))
           .field("peak_rss_mb", rss)
           .field("alloc_mb", alloc_mb)
-          .field("arena_reuse_pct", reuse_pct);
+          .field("arena_reuse_pct", reuse_pct)
+          .field("freeze_s", freeze_s)
+          .field("save_s", save_s);
       }
       // Row isolation: the scheme just went out of scope — release its
       // heap pages so the next row's peak reflects its own footprint, not

@@ -49,8 +49,9 @@ std::int64_t vertex_label_overhead_words(const RoutingScheme& scheme,
   return overhead;
 }
 
-const std::uint8_t* get_uvarint(const std::uint8_t* p,
-                                const std::uint8_t* end, std::uint64_t& x) {
+const std::uint8_t* get_uvarint_slow(const std::uint8_t* p,
+                                     const std::uint8_t* end,
+                                     std::uint64_t& x) {
   std::uint64_t v = 0;
   int shift = 0;
   for (int i = 0; i < 10; ++i) {

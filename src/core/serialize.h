@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <vector>
 
 #include "core/scheme.h"
@@ -65,11 +66,46 @@ inline void put_uvarint(std::vector<std::uint8_t>& out, std::uint64_t x) {
   out.push_back(static_cast<std::uint8_t>(x));
 }
 
+/// Writes x at p in the same encoding (the caller provides ≥ 10 bytes);
+/// returns the cursor after it.
+inline std::uint8_t* put_uvarint(std::uint8_t* p, std::uint64_t x) {
+  while (x >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(x) | 0x80u;
+    x >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(x);
+  return p;
+}
+
+/// Encoded length of x in bytes (1..10).
+inline std::size_t uvarint_size(std::uint64_t x) {
+  return static_cast<std::size_t>(std::bit_width(x | 1) + 6) / 7;
+}
+
+/// The general decoder behind get_uvarint: any length, every check.
+const std::uint8_t* get_uvarint_slow(const std::uint8_t* p,
+                                     const std::uint8_t* end,
+                                     std::uint64_t& x);
+
 /// Decodes one canonical varint from [p, end); returns the cursor after
 /// it. Throws std::logic_error on truncation, on 64-bit overflow, and on
 /// any non-minimal (over-long) encoding — e.g. {0x80, 0x00} for 0.
-const std::uint8_t* get_uvarint(const std::uint8_t* p,
-                                const std::uint8_t* end, std::uint64_t& x);
+/// Canonical 1- and 2-byte encodings (values below 2^14: nearly every
+/// field of a frozen table, wire frame or WAL record) decode inline;
+/// everything else, errors included, goes through get_uvarint_slow.
+inline const std::uint8_t* get_uvarint(const std::uint8_t* p,
+                                       const std::uint8_t* end,
+                                       std::uint64_t& x) {
+  if (p != end && p[0] < 0x80) {
+    x = p[0];
+    return p + 1;
+  }
+  if (end - p >= 2 && p[1] != 0 && p[1] < 0x80) {
+    x = (p[0] & 0x7fu) | static_cast<std::uint64_t>(p[1]) << 7;
+    return p + 2;
+  }
+  return get_uvarint_slow(p, end, x);
+}
 
 /// Zigzag mapping: small-magnitude signed values (ports, deltas) become
 /// small unsigned varints. 0→0, -1→1, 1→2, -2→3, ...

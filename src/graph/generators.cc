@@ -1,7 +1,9 @@
 #include "graph/generators.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <utility>
 #include <vector>
@@ -14,6 +16,49 @@ namespace {
 std::pair<Vertex, Vertex> key(Vertex u, Vertex v) {
   return u < v ? std::make_pair(u, v) : std::make_pair(v, u);
 }
+
+/// Insert-only set of undirected edges for the G(n, m) generators: open
+/// addressing with linear probing over one flat u64 array, sized up front
+/// for the edge budget, so the dedup allocates once and every probe is a
+/// cache-line read (a std::set pays a node allocation and a pointer chase
+/// per level). insert() answers exactly like std::set::insert(...).second,
+/// so the generators consume the same RNG draws and emit the same graph.
+class EdgeSet {
+ public:
+  explicit EdgeSet(std::int64_t capacity) {
+    std::size_t slots = 16;
+    while (slots < 2 * static_cast<std::size_t>(capacity)) slots *= 2;
+    keys_.assign(slots, kEmpty);
+    shift_ = 64 - std::countr_zero(slots);
+  }
+
+  /// Adds {u, v}; false if it was already present.
+  bool insert(Vertex u, Vertex v) {
+    const auto [a, b] = key(u, v);
+    const std::uint64_t k = static_cast<std::uint64_t>(a) << 32 |
+                            static_cast<std::uint32_t>(b);
+    const std::size_t mask = keys_.size() - 1;
+    for (std::size_t i = (k * 0x9e3779b97f4a7c15ull) >> shift_;;
+         i = (i + 1) & mask) {
+      if (keys_[i] == k) return false;
+      if (keys_[i] == kEmpty) {
+        NORS_CHECK_MSG(2 * (size_ + 1) <= keys_.size(),
+                       "edge set over capacity");
+        keys_[i] = k;
+        ++size_;
+        return true;
+      }
+    }
+  }
+
+  std::int64_t size() const { return static_cast<std::int64_t>(size_); }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  std::vector<std::uint64_t> keys_;
+  std::size_t size_ = 0;
+  int shift_ = 0;
+};
 
 // Edge-adding helpers shared by generators that compose topologies (cycle =
 // path + closing edge, torus = grid + wrap edges). The composite generator
@@ -142,12 +187,12 @@ WeightedGraph erdos_renyi_gnm(int n, std::int64_t m, const WeightSpec& ws,
   const std::int64_t max_m = std::int64_t{n} * (n - 1) / 2;
   NORS_CHECK_MSG(m <= max_m, "too many edges requested");
   WeightedGraph g(n);
-  std::set<std::pair<Vertex, Vertex>> used;
-  while (static_cast<std::int64_t>(used.size()) < m) {
+  EdgeSet used(m);
+  while (used.size() < m) {
     const auto u = static_cast<Vertex>(rng.uniform(static_cast<std::uint64_t>(n)));
     const auto v = static_cast<Vertex>(rng.uniform(static_cast<std::uint64_t>(n)));
     if (u == v) continue;
-    if (used.insert(key(u, v)).second) g.add_edge(u, v, ws.draw(rng));
+    if (used.insert(u, v)) g.add_edge(u, v, ws.draw(rng));
   }
   g.freeze();
   return g;
@@ -157,7 +202,10 @@ WeightedGraph connected_gnm(int n, std::int64_t extra_edges,
                             const WeightSpec& ws, util::Rng& rng) {
   NORS_CHECK(n >= 2);
   WeightedGraph g(n);
-  std::set<std::pair<Vertex, Vertex>> used;
+  // A spanning tree has n - 1 edges, so the target is known up front.
+  const std::int64_t max_m = std::int64_t{n} * (n - 1) / 2;
+  const std::int64_t target = std::min(max_m, n - 1 + extra_edges);
+  EdgeSet used(std::max<std::int64_t>(target, n - 1));
   // Random spanning tree (uniform attachment over shuffled order).
   std::vector<Vertex> order(static_cast<std::size_t>(n));
   for (Vertex v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
@@ -165,17 +213,14 @@ WeightedGraph connected_gnm(int n, std::int64_t extra_edges,
   for (int i = 1; i < n; ++i) {
     const Vertex child = order[static_cast<std::size_t>(i)];
     const Vertex parent = order[rng.uniform(static_cast<std::uint64_t>(i))];
-    used.insert(key(parent, child));
+    used.insert(parent, child);
     g.add_edge(parent, child, ws.draw(rng));
   }
-  const std::int64_t max_m = std::int64_t{n} * (n - 1) / 2;
-  const std::int64_t target =
-      std::min(max_m, static_cast<std::int64_t>(used.size()) + extra_edges);
-  while (static_cast<std::int64_t>(used.size()) < target) {
+  while (used.size() < target) {
     const auto u = static_cast<Vertex>(rng.uniform(static_cast<std::uint64_t>(n)));
     const auto v = static_cast<Vertex>(rng.uniform(static_cast<std::uint64_t>(n)));
     if (u == v) continue;
-    if (used.insert(key(u, v)).second) g.add_edge(u, v, ws.draw(rng));
+    if (used.insert(u, v)) g.add_edge(u, v, ws.draw(rng));
   }
   g.freeze();
   return g;

@@ -1,13 +1,11 @@
 #include "net/server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -61,47 +59,6 @@ std::pair<std::string, int> parse_host_port(const std::string& s) {
   std::string host = s.substr(0, colon);
   if (host.empty()) host = "127.0.0.1";
   return {host, std::stoi(s.substr(colon + 1))};
-}
-
-/// Crash-safe whole-file replacement: write to `path + ".tmp"`, fsync,
-/// rename over `path`, fsync the directory — at every instant the old
-/// file or the complete new one is what a reader (or a rebooting daemon)
-/// sees. The checkpoint image rebuild goes through here.
-void write_file_durable(const std::string& path,
-                        std::span<const std::uint8_t> bytes) {
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) sys_fail("open image temp");
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const auto wr = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (wr < 0 && errno == EINTR) continue;
-    if (wr <= 0) {
-      const int e = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      errno = e;
-      sys_fail("write image temp");
-    }
-    off += static_cast<std::size_t>(wr);
-  }
-  if (::fsync(fd) != 0 || ::close(fd) != 0 ||
-      ::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int e = errno;
-    ::unlink(tmp.c_str());
-    errno = e;
-    sys_fail("persist image");
-  }
-  const auto slash = path.rfind('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash + 1);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
 }
 
 }  // namespace
@@ -510,9 +467,8 @@ struct Server::Impl {
       snap = gen->delta->as_edge_updates(*gen->fs);
       a.squashed = gen->delta->override_count();
       if (!opt.image_path.empty()) {
-        write_file_durable(
-            opt.image_path,
-            gen->fs->save_with_link_weights(gen->delta->sorted_overrides()));
+        gen->fs->save_file_with_link_weights(
+            opt.image_path, gen->delta->sorted_overrides());
         a.image_rebuilt = 1;
       }
     }

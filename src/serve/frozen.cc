@@ -1,10 +1,13 @@
 #include "serve/frozen.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -98,8 +101,11 @@ static_assert(alignof(TableSlotV2) <= 8);
 /// 8-byte file offset (counts and payloads both start 8-aligned).
 constexpr std::size_t pad8(std::size_t len) { return (8 - len % 8) % 8; }
 
-std::uint64_t fnv1a(const std::uint8_t* p, std::size_t len) {
-  std::uint64_t h = 1469598103934665603ull;
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+
+/// FNV-1a64 of [p, p + len), continuing from state `h`.
+std::uint64_t fnv1a(const std::uint8_t* p, std::size_t len,
+                    std::uint64_t h = kFnvOffset) {
   for (std::size_t i = 0; i < len; ++i) {
     h ^= p[i];
     h *= 1099511628211ull;
@@ -107,22 +113,155 @@ std::uint64_t fnv1a(const std::uint8_t* p, std::size_t len) {
   return h;
 }
 
-void put_raw(std::vector<std::uint8_t>& out, const void* p, std::size_t len) {
-  // resize+memcpy instead of insert: same effect, and it sidesteps a
-  // gcc-12 -Wstringop-overflow false positive on small fixed-size appends.
-  const std::size_t old = out.size();
-  out.resize(old + len);
-  std::memcpy(out.data() + old, p, len);
+// ------------------------------------------------------------ image sinks --
+// save_impl writes the image once, front to back, into one of two sinks;
+// the writer on top folds every byte into the trailing checksum as it
+// passes, so no whole-image copy is ever staged (DESIGN.md §5.2).
+
+/// Appends to a byte vector (save(), save_as(), save_with_link_weights()).
+struct VectorSink {
+  std::vector<std::uint8_t>& out;
+
+  void write(const std::uint8_t* p, std::size_t len) {
+    // resize+memcpy instead of insert: same effect, and it sidesteps a
+    // gcc-12 -Wstringop-overflow false positive on small fixed-size appends.
+    const std::size_t old = out.size();
+    out.resize(old + len);
+    std::memcpy(out.data() + old, p, len);
+  }
+};
+
+[[noreturn]] void io_fail(const std::string& what) {
+  throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-template <typename T>
-void put_span(std::vector<std::uint8_t>& out, std::span<const T> v) {
-  const std::uint64_t count = v.size();
-  put_raw(out, &count, sizeof(count));
-  const std::size_t payload = static_cast<std::size_t>(count) * sizeof(T);
-  if (count > 0) put_raw(out, v.data(), payload);
-  out.resize(out.size() + pad8(payload));  // zero padding
-}
+/// Streams to `path + ".tmp"` through a fixed buffer; commit() renames the
+/// temp file over `path`, so the target is replaced whole or not at all —
+/// never truncated in place under a process that has it map()ped. With
+/// `durable`, commit() also fsyncs the file before the rename and the
+/// directory after it (the checkpoint writer, DESIGN.md §14.3). A sink
+/// destroyed uncommitted (a failed save) removes its temp file.
+class FileSink {
+ public:
+  FileSink(const std::string& path, bool durable)
+      : path_(path), tmp_(path + ".tmp"), durable_(durable),
+        buf_(kBufferBytes) {
+    fp_ = std::fopen(tmp_.c_str(), "wb");
+    if (fp_ == nullptr) io_fail("cannot open " + tmp_ + " for writing");
+  }
+  FileSink(const FileSink&) = delete;
+  FileSink& operator=(const FileSink&) = delete;
+  ~FileSink() {
+    if (fp_ != nullptr) {
+      std::fclose(fp_);
+      std::remove(tmp_.c_str());
+    }
+  }
+
+  void write(const std::uint8_t* p, std::size_t len) {
+    while (len > 0) {
+      const std::size_t take = std::min(len, buf_.size() - used_);
+      std::memcpy(buf_.data() + used_, p, take);
+      used_ += take;
+      p += take;
+      len -= take;
+      if (used_ == buf_.size()) flush();
+    }
+  }
+
+  void commit() {
+    flush();
+    if (std::fflush(fp_) != 0) io_fail("write to " + tmp_);
+#if NORS_HAVE_MMAP
+    if (durable_ && ::fsync(::fileno(fp_)) != 0) io_fail("fsync " + tmp_);
+#endif
+    std::FILE* fp = fp_;
+    fp_ = nullptr;
+    if (std::fclose(fp) != 0) {
+      const int e = errno;
+      std::remove(tmp_.c_str());
+      errno = e;
+      io_fail("close " + tmp_);
+    }
+    if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+      const int e = errno;
+      std::remove(tmp_.c_str());
+      errno = e;
+      io_fail("rename " + tmp_ + " over " + path_);
+    }
+#if NORS_HAVE_MMAP
+    if (durable_) {
+      const auto slash = path_.rfind('/');
+      const std::string dir = slash == std::string::npos
+                                  ? std::string(".")
+                                  : path_.substr(0, slash + 1);
+      const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+      if (dfd >= 0) {
+        ::fsync(dfd);
+        ::close(dfd);
+      }
+    }
+#endif
+  }
+
+ private:
+  // Large enough that each write(2) moves a big chunk, small enough that
+  // a save's heap footprint stays a small fraction of even a small image.
+  static constexpr std::size_t kBufferBytes = std::size_t{256} << 10;
+
+  void flush() {
+    if (used_ > 0 && std::fwrite(buf_.data(), 1, used_, fp_) != used_) {
+      io_fail("short write to " + tmp_);
+    }
+    used_ = 0;
+  }
+
+  std::string path_;
+  std::string tmp_;
+  bool durable_;
+  std::vector<std::uint8_t> buf_;
+  std::size_t used_ = 0;
+  std::FILE* fp_ = nullptr;
+};
+
+/// The image framing over a sink: raw bytes and padded (count, elements)
+/// sections, each hashed on its way through.
+template <typename Sink>
+class ImageWriter {
+ public:
+  explicit ImageWriter(Sink& sink) : sink_(sink) {}
+
+  void put(const void* p, std::size_t len) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    hash_ = fnv1a(b, len, hash_);
+    sink_.write(b, len);
+  }
+
+  /// Zero padding after a payload of `payload` bytes.
+  void pad(std::size_t payload) {
+    static constexpr std::uint8_t kZeros[8] = {};
+    put(kZeros, pad8(payload));
+  }
+
+  template <typename T>
+  void put_span(std::span<const T> v) {
+    const std::uint64_t count = v.size();
+    put(&count, sizeof(count));
+    const std::size_t payload = static_cast<std::size_t>(count) * sizeof(T);
+    if (count > 0) put(v.data(), payload);
+    pad(payload);
+  }
+
+  /// The trailing checksum of everything written so far.
+  void finish() {
+    const std::uint64_t h = hash_;
+    sink_.write(reinterpret_cast<const std::uint8_t*>(&h), sizeof(h));
+  }
+
+ private:
+  Sink& sink_;
+  std::uint64_t hash_ = kFnvOffset;
+};
 
 // ------------------------------------------------- v3 table-entry codec --
 
@@ -132,31 +271,33 @@ std::int32_t narrow_i32(std::int64_t v) {
   return static_cast<std::int32_t>(v);
 }
 
-/// Appends one packed slot to the v3 varint section. Field order and
-/// transforms are part of the format: intervals as (start, width), light
-/// offsets as deltas against the previous entry (they grow monotonically
-/// in freeze order), everything zigzagged so sentinel -1s cost one byte.
-void encode_table_entry(std::vector<std::uint8_t>& out,
-                        const FrozenScheme::TableSlot& t,
-                        std::int64_t& prev_light_off) {
-  auto put = [&out](std::int64_t v) {
-    core::put_uvarint(out, core::zigzag(v));
-  };
-  put(t.local_a);
-  put(static_cast<std::int64_t>(t.local_b) - t.local_a);
-  put(t.a_prime);
-  put(static_cast<std::int64_t>(t.b_prime) - t.a_prime);
-  put(t.heavy_portal_a);
-  put(t.subtree_root);
-  put(t.parent_port);
-  put(t.heavy_child_port);
-  put(t.heavy_prime);
-  put(t.heavy_cross_port);
-  put(static_cast<std::int64_t>(t.heavy_light_off) - prev_light_off);
-  put(t.heavy_light_len);
-  put(t.up_port);
+/// Hands one packed slot's v3 varint fields, zigzagged, to `put`. Field
+/// order and transforms are part of the format: intervals as (start,
+/// width), light offsets as deltas against the previous entry (they grow
+/// monotonically in freeze order), everything zigzagged so sentinel -1s
+/// cost one byte.
+template <typename Put>
+void table_entry_fields(const FrozenScheme::TableSlot& t,
+                        std::int64_t& prev_light_off, Put&& put) {
+  auto field = [&put](std::int64_t v) { put(core::zigzag(v)); };
+  field(t.local_a);
+  field(static_cast<std::int64_t>(t.local_b) - t.local_a);
+  field(t.a_prime);
+  field(static_cast<std::int64_t>(t.b_prime) - t.a_prime);
+  field(t.heavy_portal_a);
+  field(t.subtree_root);
+  field(t.parent_port);
+  field(t.heavy_child_port);
+  field(t.heavy_prime);
+  field(t.heavy_cross_port);
+  field(static_cast<std::int64_t>(t.heavy_light_off) - prev_light_off);
+  field(t.heavy_light_len);
+  field(t.up_port);
   prev_light_off = t.heavy_light_off;
 }
+
+/// Upper bound on one encoded entry: 13 fields of at most 10 bytes each.
+constexpr std::size_t kMaxTableEntryBytes = 13 * 10;
 
 /// Decodes one entry; throws (core::get_uvarint / narrow_i32) on truncated
 /// tails, over-long encodings and values outside int32. Delta sums are
@@ -504,7 +645,6 @@ FrozenScheme FrozenScheme::freeze(const core::RoutingScheme& scheme) {
 
   auto put_lights = [&st](const treeroute::TzTreeScheme::Label& l,
                           std::int32_t& off, std::int32_t& len) {
-    NORS_CHECK(st.lights.size() < 0x7fffffff);
     off = static_cast<std::int32_t>(st.lights.size());
     len = static_cast<std::int32_t>(l.light.size());
     for (const auto& [v, p] : l.light) st.lights.push_back({v, p});
@@ -517,7 +657,6 @@ FrozenScheme FrozenScheme::freeze(const core::RoutingScheme& scheme) {
     a_prime = l.a_prime;
     local_a = l.local.a;
     put_lights(l.local, lloff, lllen);
-    NORS_CHECK(st.hops.size() < 0x7fffffff);
     hoff = static_cast<std::int32_t>(st.hops.size());
     hlen = static_cast<std::int32_t>(l.global_light.size());
     for (const auto& hop : l.global_light) {
@@ -530,59 +669,108 @@ FrozenScheme FrozenScheme::freeze(const core::RoutingScheme& scheme) {
     }
   };
 
+  // Every pool is sized before it is filled: lights hold the table slots'
+  // heavy-portal lists (slab order), then the label slots' lists, then the
+  // trick slots' (the image's pool order); hops hold the label slots'
+  // global hops, then the trick slots'.
+  std::size_t light_total = 0, hop_total = 0, trick_total = 0;
+  auto count_vlabel = [&](const treeroute::DistTreeScheme::VLabel& l) {
+    light_total += l.local.light.size();
+    hop_total += l.global_light.size();
+    for (const auto& hop : l.global_light) {
+      light_total += hop.portal_label.light.size();
+    }
+  };
+
   // Per-vertex table slabs: one packed TableSlot (+ its tree key in the
   // parallel column) per (vertex, tree) membership, grouped by vertex and
-  // tree-sorted within the slab. Every DFS-interval field provably fits
-  // int32 (clocks are bounded by the tree size ≤ n), checked as it lands.
-  {
-    struct Ref {
-      Vertex v;
-      std::int32_t ti;
-    };
-    std::vector<Ref> refs;
+  // tree-sorted within the slab. Built tree-major: walking the trees in
+  // ascending index with one cursor per vertex lands each membership at
+  // its slab position, in order, with no sort and no member search (each
+  // tree scheme's arrays are parallel to trees[ti].members, checked per
+  // tree). Pass 1 places the keys and light lengths; a scan in slab order
+  // turns lengths into light offsets; pass 2 fills the slots and copies
+  // their lights. Every DFS-interval field provably fits int32 (clocks
+  // are bounded by the tree size ≤ n), checked as it lands.
+  st.table_off.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& t : trees) {
+    for (Vertex v : t.members) ++st.table_off[static_cast<std::size_t>(v) + 1];
+  }
+  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+    st.table_off[v + 1] += st.table_off[v];
+  }
+  const auto slots = static_cast<std::size_t>(st.table_off.back());
+  NORS_CHECK_MSG(slots < 0x7fffffff, "table slab index overflow");
+  st.tables.resize(slots);
+  st.table_tree.resize(slots);
+  std::vector<std::int64_t> cursor(st.table_off.begin(),
+                                   st.table_off.end() - 1);
+  for (std::size_t ti = 0; ti < trees.size(); ++ti) {
+    const auto& ts = scheme.tree_scheme(ti);
+    const auto& members = trees[ti].members;
+    NORS_CHECK_MSG(ts.members() == members,
+                   "tree scheme " << ti << " is not parallel to its tree");
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const auto slot = static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(members[i])]++);
+      st.table_tree[slot] = static_cast<std::int32_t>(ti);
+      st.tables[slot].heavy_light_len = static_cast<std::int32_t>(
+          ts.heavy_portal_label_at(i).light.size());
+    }
+  }
+  for (auto& s : st.tables) {
+    s.heavy_light_off = static_cast<std::int32_t>(light_total);
+    light_total += static_cast<std::size_t>(s.heavy_light_len);
+    NORS_CHECK_MSG(light_total <= 0x7fffffff, "light pool overflow");
+  }
+  const std::size_t table_lights = light_total;
+
+  for (Vertex v = 0; v < n; ++v) {
+    for (int i = 0; i < k; ++i) {
+      const auto& le = scheme.label_entry(v, i);
+      if (le.member) count_vlabel(le.tree_label);
+    }
+  }
+  if (f.label_trick_ != 0) {
     for (std::size_t ti = 0; ti < trees.size(); ++ti) {
-      for (Vertex v : trees[ti].members) {
-        refs.push_back({v, static_cast<std::int32_t>(ti)});
+      if (trees[ti].level != 0) continue;
+      const auto& ts = scheme.tree_scheme(ti);
+      trick_total += trees[ti].members.size();
+      for (std::size_t i = 0; i < trees[ti].members.size(); ++i) {
+        count_vlabel(ts.label_at(i));
       }
     }
-    std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-      return a.v != b.v ? a.v < b.v : a.ti < b.ti;
-    });
-    NORS_CHECK_MSG(refs.size() < 0x7fffffff, "table slab index overflow");
-    st.tables.reserve(refs.size());
-    st.table_tree.reserve(refs.size());
-    st.table_off.resize(static_cast<std::size_t>(n) + 1);
-    std::size_t idx = 0;
-    for (Vertex v = 0; v < n; ++v) {
-      st.table_off[static_cast<std::size_t>(v)] =
-          static_cast<std::int64_t>(st.tables.size());
-      for (; idx < refs.size() && refs[idx].v == v; ++idx) {
-        const auto ti = static_cast<std::size_t>(refs[idx].ti);
-        const auto& tree_scheme = scheme.tree_scheme(ti);
-        const int pos = tree_scheme.find(v);
-        NORS_CHECK(pos >= 0);
-        const auto& info = tree_scheme.info_at(static_cast<std::size_t>(pos));
-        const auto& heavy_label =
-            tree_scheme.heavy_portal_label_at(static_cast<std::size_t>(pos));
-        TableSlot s;
-        s.subtree_root = info.subtree_root;
-        s.local_a = narrow_i32(info.local.a);
-        s.local_b = narrow_i32(info.local.b);
-        s.parent_port = info.local.parent_port;
-        s.heavy_child_port = info.local.heavy_port;
-        s.a_prime = narrow_i32(info.a_prime);
-        s.b_prime = narrow_i32(info.b_prime);
-        s.heavy_prime = info.heavy_prime;
-        s.heavy_cross_port = info.heavy_port;
-        s.heavy_portal_a = narrow_i32(heavy_label.a);
-        put_lights(heavy_label, s.heavy_light_off, s.heavy_light_len);
-        s.up_port = info.up_port;
-        st.table_tree.push_back(refs[idx].ti);
-        st.tables.push_back(s);
-      }
+  }
+  NORS_CHECK_MSG(light_total <= 0x7fffffff && hop_total <= 0x7fffffff,
+                 "light or hop pool overflow");
+  st.lights.reserve(light_total);
+  st.lights.resize(table_lights);
+  st.hops.reserve(hop_total);
+  st.tricks.reserve(trick_total);
+
+  std::copy(st.table_off.begin(), st.table_off.end() - 1, cursor.begin());
+  for (std::size_t ti = 0; ti < trees.size(); ++ti) {
+    const auto& ts = scheme.tree_scheme(ti);
+    const auto& members = trees[ti].members;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const auto& info = ts.info_at(i);
+      const auto& heavy_label = ts.heavy_portal_label_at(i);
+      TableSlot& s = st.tables[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(members[i])]++)];
+      s.subtree_root = info.subtree_root;
+      s.local_a = narrow_i32(info.local.a);
+      s.local_b = narrow_i32(info.local.b);
+      s.parent_port = info.local.parent_port;
+      s.heavy_child_port = info.local.heavy_port;
+      s.a_prime = narrow_i32(info.a_prime);
+      s.b_prime = narrow_i32(info.b_prime);
+      s.heavy_prime = info.heavy_prime;
+      s.heavy_cross_port = info.heavy_port;
+      s.heavy_portal_a = narrow_i32(heavy_label.a);
+      s.up_port = info.up_port;
+      LightSlot* out = st.lights.data() + s.heavy_light_off;
+      for (const auto& [lv, lp] : heavy_label.light) *out++ = {lv, lp};
     }
-    st.table_off[static_cast<std::size_t>(n)] =
-        static_cast<std::int64_t>(st.tables.size());
   }
 
   // Destination labels, flat stride-k (mirrors the live label arena).
@@ -773,13 +961,17 @@ std::vector<std::uint8_t> FrozenScheme::save() const {
 }
 
 std::vector<std::uint8_t> FrozenScheme::save_as(std::uint32_t version) const {
-  return save_impl(version, adj_w_);
+  std::vector<std::uint8_t> out;
+  out.reserve(static_cast<std::size_t>(byte_size()) + 512);
+  VectorSink sink{out};
+  save_impl(sink, version, adj_w_);
+  return out;
 }
 
-std::vector<std::uint8_t> FrozenScheme::save_with_link_weights(
+std::vector<std::int64_t> FrozenScheme::patched_link_weights(
     std::span<const std::pair<std::int64_t, graph::Dist>> overrides) const {
   // Checkpoint compaction (DESIGN.md §14): bake the delta's *weight*
-  // overrides into the link-map weight column and re-emit the image
+  // overrides into the link-map weight column; the image is then emitted
   // through the ordinary save path. Failed links (w < 0) are skipped —
   // the image format has no failure notion, and the checkpoint squash
   // record re-applies them on every boot, so a rebuilt image plus its
@@ -791,72 +983,110 @@ std::vector<std::uint8_t> FrozenScheme::save_with_link_weights(
                    "link override outside the link map");
     if (w >= 0) patched[static_cast<std::size_t>(link)] = w;
   }
-  return save_impl(format_version_, patched);
+  return patched;
 }
 
-std::vector<std::uint8_t> FrozenScheme::save_impl(
-    std::uint32_t version, std::span<const std::int64_t> adj_w) const {
-  NORS_CHECK_MSG(version == kVersionV2 || version == kVersionLatest,
-                 "unsupported frozen-table version " << version);
+std::vector<std::uint8_t> FrozenScheme::save_with_link_weights(
+    std::span<const std::pair<std::int64_t, graph::Dist>> overrides) const {
+  const auto patched = patched_link_weights(overrides);
   std::vector<std::uint8_t> out;
   out.reserve(static_cast<std::size_t>(byte_size()) + 512);
-  put_raw(out, kMagic, sizeof(kMagic));
-  put_raw(out, &version, sizeof(version));
-  put_raw(out, &kEndianTag, sizeof(kEndianTag));
-  put_raw(out, &n_, sizeof(n_));
-  put_raw(out, &k_, sizeof(k_));
-  put_raw(out, &label_trick_, sizeof(label_trick_));
-  put_raw(out, &num_trees_, sizeof(num_trees_));
-  put_span(out, level_);
-  put_span(out, tree_root_);
-  put_span(out, tree_level_);
-  put_span(out, table_off_);
+  VectorSink sink{out};
+  save_impl(sink, format_version_, patched);
+  return out;
+}
+
+void FrozenScheme::save_file(const std::string& path) const {
+  FileSink sink(path, /*durable=*/false);
+  save_impl(sink, format_version_, adj_w_);
+  sink.commit();
+}
+
+void FrozenScheme::save_file_with_link_weights(
+    const std::string& path,
+    std::span<const std::pair<std::int64_t, graph::Dist>> overrides) const {
+  const auto patched = patched_link_weights(overrides);
+  FileSink sink(path, /*durable=*/true);
+  save_impl(sink, format_version_, patched);
+  sink.commit();
+}
+
+template <typename Sink>
+void FrozenScheme::save_impl(Sink& sink, std::uint32_t version,
+                             std::span<const std::int64_t> adj_w) const {
+  NORS_CHECK_MSG(version == kVersionV2 || version == kVersionLatest,
+                 "unsupported frozen-table version " << version);
+  ImageWriter<Sink> w(sink);
+  w.put(kMagic, sizeof(kMagic));
+  w.put(&version, sizeof(version));
+  w.put(&kEndianTag, sizeof(kEndianTag));
+  w.put(&n_, sizeof(n_));
+  w.put(&k_, sizeof(k_));
+  w.put(&label_trick_, sizeof(label_trick_));
+  w.put(&num_trees_, sizeof(num_trees_));
+  w.put_span(level_);
+  w.put_span(tree_root_);
+  w.put_span(tree_level_);
+  w.put_span(table_off_);
   if (version == kVersionV2) {
-    // Re-zip the packed slots into the historical 80-byte wire records.
-    std::vector<TableSlotV2> wide(tables_.size());
+    // Each packed slot is re-zipped into its historical 80-byte wire
+    // record on its way out (80-byte records need no padding).
+    const std::uint64_t count = tables_.size();
+    w.put(&count, sizeof(count));
     for (std::size_t i = 0; i < tables_.size(); ++i) {
       const TableSlot& t = tables_[i];
-      TableSlotV2& w = wide[i];
-      w.local_a = t.local_a;
-      w.local_b = t.local_b;
-      w.a_prime = t.a_prime;
-      w.b_prime = t.b_prime;
-      w.heavy_portal_a = t.heavy_portal_a;
-      w.tree = table_tree_[i];
-      w.subtree_root = t.subtree_root;
-      w.parent_port = t.parent_port;
-      w.heavy_child_port = t.heavy_child_port;
-      w.heavy_prime = t.heavy_prime;
-      w.heavy_cross_port = t.heavy_cross_port;
-      w.heavy_light_off = t.heavy_light_off;
-      w.heavy_light_len = t.heavy_light_len;
-      w.up_port = t.up_port;
-      w.pad = 0;
+      TableSlotV2 r;
+      r.local_a = t.local_a;
+      r.local_b = t.local_b;
+      r.a_prime = t.a_prime;
+      r.b_prime = t.b_prime;
+      r.heavy_portal_a = t.heavy_portal_a;
+      r.tree = table_tree_[i];
+      r.subtree_root = t.subtree_root;
+      r.parent_port = t.parent_port;
+      r.heavy_child_port = t.heavy_child_port;
+      r.heavy_prime = t.heavy_prime;
+      r.heavy_cross_port = t.heavy_cross_port;
+      r.heavy_light_off = t.heavy_light_off;
+      r.heavy_light_len = t.heavy_light_len;
+      r.up_port = t.up_port;
+      r.pad = 0;
+      w.put(&r, sizeof(r));
     }
-    put_span(out, std::span<const TableSlotV2>(wide));
   } else {
-    put_span(out, table_tree_);
-    std::vector<std::uint8_t> blob;
-    blob.reserve(tables_.size() * 16);
+    w.put_span(table_tree_);
+    // The varint section's byte count precedes its bytes: a size-only
+    // pass measures it, then each entry is encoded straight to the sink.
+    std::uint64_t len = 0;
     std::int64_t prev_light_off = 0;
     for (const auto& t : tables_) {
-      encode_table_entry(blob, t, prev_light_off);
+      table_entry_fields(t, prev_light_off, [&len](std::uint64_t u) {
+        len += core::uvarint_size(u);
+      });
     }
-    put_span(out, std::span<const std::uint8_t>(blob));
+    w.put(&len, sizeof(len));
+    prev_light_off = 0;
+    for (const auto& t : tables_) {
+      std::uint8_t buf[kMaxTableEntryBytes];
+      std::uint8_t* e = buf;
+      table_entry_fields(t, prev_light_off, [&e](std::uint64_t u) {
+        e = core::put_uvarint(e, u);
+      });
+      w.put(buf, static_cast<std::size_t>(e - buf));
+    }
+    w.pad(static_cast<std::size_t>(len));
   }
-  put_span(out, labels_);
-  put_span(out, hops_);
-  put_span(out, lights_);
-  put_span(out, trick_roots_);
-  put_span(out, tricks_);
-  put_span(out, adj_off_);
-  put_span(out, adj_to_);
-  put_span(out, adj_w);
-  put_span(out, blob_off_);
-  put_span(out, blobs_);
-  const std::uint64_t checksum = fnv1a(out.data(), out.size());
-  put_raw(out, &checksum, sizeof(checksum));
-  return out;
+  w.put_span(labels_);
+  w.put_span(hops_);
+  w.put_span(lights_);
+  w.put_span(trick_roots_);
+  w.put_span(tricks_);
+  w.put_span(adj_off_);
+  w.put_span(adj_to_);
+  w.put_span(adj_w);
+  w.put_span(blob_off_);
+  w.put_span(blobs_);
+  w.finish();
 }
 
 FrozenScheme FrozenScheme::load(const std::vector<std::uint8_t>& bytes) {
@@ -908,15 +1138,6 @@ FrozenScheme FrozenScheme::load(const std::vector<std::uint8_t>& bytes) {
   f.build_derived();
   f.validate();
   return f;
-}
-
-void FrozenScheme::save_file(const std::string& path) const {
-  const auto bytes = save();
-  std::FILE* fp = std::fopen(path.c_str(), "wb");
-  NORS_CHECK_MSG(fp != nullptr, "cannot open " << path << " for writing");
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), fp);
-  std::fclose(fp);
-  NORS_CHECK_MSG(written == bytes.size(), "short write to " << path);
 }
 
 FrozenScheme FrozenScheme::load_file(const std::string& path) {

@@ -246,25 +246,46 @@ class FrozenScheme {
 
   /// Snapshots a constructed scheme (and its graph's link map) into flat
   /// slabs. The frozen scheme is self-contained: the RoutingScheme and the
-  /// WeightedGraph may be destroyed afterwards.
+  /// WeightedGraph may be destroyed afterwards. The table slabs are filled
+  /// tree-major — one walk over each tree's members with a cursor per
+  /// vertex, no sort and no member search — and every slab and pool is
+  /// sized before it is filled (DESIGN.md §9).
   static FrozenScheme freeze(const core::RoutingScheme& scheme);
 
   /// Versioned binary image (format: DESIGN.md §5.2/§10). save() writes
   /// the instance's own format version — the one it was loaded from, or
-  /// the latest for freeze() outputs; save_as() converts explicitly.
+  /// the latest for freeze() outputs; save_as() converts explicitly. All
+  /// save paths share one streaming emitter: the image is written front to
+  /// back once, its checksum computed on the way, so the vector these
+  /// return is the only copy ever made — and save_file() makes none.
   std::vector<std::uint8_t> save() const;
   std::vector<std::uint8_t> save_as(std::uint32_t version) const;
 
   /// save() with the link-map weight column patched by `overrides`
   /// ((global link index, weight) pairs; negative weights — failures —
   /// are skipped, the image format has no failure notion). This is the
-  /// checkpoint-compaction path (DESIGN.md §14): delta weight repairs are
+  /// checkpoint-compaction image (DESIGN.md §14): delta weight repairs are
   /// baked into a fresh image in the instance's own format version, and
   /// everything else is byte-identical to save().
   std::vector<std::uint8_t> save_with_link_weights(
       std::span<const std::pair<std::int64_t, graph::Dist>> overrides) const;
   static FrozenScheme load(const std::vector<std::uint8_t>& bytes);
+
+  /// Writes save()'s bytes to `path` without staging the image: it streams
+  /// through a small fixed buffer into `path + ".tmp"`, which is then
+  /// renamed over `path`. The target is replaced whole or not at all — a
+  /// failed save leaves the old file (and no temp file) behind, and a
+  /// process that has the old file map()ped keeps its intact pages.
+  /// Throws std::runtime_error on an I/O failure.
   void save_file(const std::string& path) const;
+
+  /// The checkpoint writer (DESIGN.md §14.3): save_with_link_weights()'s
+  /// bytes, streamed like save_file(), and durable — the temp file is
+  /// fsynced before the rename and the directory after it, so a crash at
+  /// any instant leaves the old image or the complete new one.
+  void save_file_with_link_weights(
+      const std::string& path,
+      std::span<const std::pair<std::int64_t, graph::Dist>> overrides) const;
   static FrozenScheme load_file(const std::string& path);
 
   /// Zero-copy load: mmaps the NORSFRZ1 image at `path` read-only,
@@ -572,12 +593,17 @@ class FrozenScheme {
   /// serving reads).
   void validate() const;
 
-  /// Shared body of save_as()/save_with_link_weights(): emits every
-  /// section from the instance except the link-weight column, which the
-  /// caller supplies (the unpatched adj_w_, or a patched copy).
-  std::vector<std::uint8_t> save_impl(std::uint32_t version,
-                                      std::span<const std::int64_t> adj_w)
-      const;
+  /// The one image emitter behind every save: streams every section from
+  /// the instance, front to back, into `sink` (a byte vector or a buffered
+  /// temp file, frozen.cc), hashing as it goes. The link-weight column is
+  /// the caller's (the unpatched adj_w_, or a patched copy).
+  template <typename Sink>
+  void save_impl(Sink& sink, std::uint32_t version,
+                 std::span<const std::int64_t> adj_w) const;
+
+  /// adj_w_ with the weight overrides of save_with_link_weights() applied.
+  std::vector<std::int64_t> patched_link_weights(
+      std::span<const std::pair<std::int64_t, graph::Dist>> overrides) const;
 
   /// Heap storage behind the views on the owning paths (freeze, load) —
   /// and, on the map() path, behind the packed table slots, which are

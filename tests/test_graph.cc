@@ -235,6 +235,57 @@ TEST(Generators, DeterministicUnderSeed) {
   EXPECT_FALSE(all_equal_ac);
 }
 
+/// FNV-1a over n and every (degree, (to, w)...) adjacency row in port order.
+std::uint64_t graph_digest(const WeightedGraph& g) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(static_cast<std::uint64_t>(g.n()));
+  for (Vertex v = 0; v < g.n(); ++v) {
+    mix(g.neighbors(v).size());
+    for (const auto& e : g.neighbors(v)) {
+      mix(static_cast<std::uint64_t>(e.to));
+      mix(static_cast<std::uint64_t>(e.w));
+    }
+  }
+  return h;
+}
+
+TEST(Generators, GnmGraphsArePinnedForFixedSeeds) {
+  // Digests and the next RNG draw recorded from the std::set-deduplicated
+  // generators: the flat edge set must reproduce the same graphs from the
+  // same draws (every benchmark and bench input is a connected_gnm graph).
+  struct Case {
+    int n;
+    std::int64_t extra;
+    std::uint64_t seed;
+    std::int64_t m;
+    std::uint64_t digest;
+    std::uint64_t next;
+  };
+  for (const Case& c :
+       {Case{200, 600, 1, 799, 0x8d139f2f5800da4full, 5786883287896187726ull},
+        Case{2048, 6144, 42, 8191, 0x040ddd5778afb1a3ull,
+             14936577536525789289ull},
+        Case{1 << 15, 3LL << 15, 7, 131071, 0xf9f34e48f7798de2ull,
+             5219409726973608356ull}}) {
+    util::Rng rng(c.seed);
+    const auto g = graph::connected_gnm(
+        c.n, c.extra, graph::WeightSpec::uniform(1, 32), rng);
+    EXPECT_EQ(g.m(), c.m) << "n=" << c.n;
+    EXPECT_EQ(graph_digest(g), c.digest) << "n=" << c.n;
+    EXPECT_EQ(rng.next(), c.next) << "n=" << c.n;
+  }
+  util::Rng rng(9);
+  const auto er =
+      graph::erdos_renyi_gnm(300, 900, graph::WeightSpec::uniform(1, 16), rng);
+  EXPECT_EQ(graph_digest(er), 0x36c68a6a7b15a4b9ull);
+}
+
 TEST(Generators, WeightSpecDrawsWithinRange) {
   util::Rng rng(77);
   const auto ws = graph::WeightSpec::uniform(5, 9);

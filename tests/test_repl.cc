@@ -194,12 +194,16 @@ TEST(Replication, SubscribeRequiresADedicatedConnection) {
 
   // A route frame is in flight when the subscribe arrives: the server
   // must refuse (recoverably) instead of interleaving pushed frames
-  // into an ordered request/response pipeline.
+  // into an ordered request/response pipeline. Both frames go out in one
+  // write, so the server parses them from one read and the route is
+  // still pending when the subscribe is parsed, however fast it is served.
   const auto qs = random_queries(g.n(), 16, 3);
-  client.send_route(qs.data(), qs.size());
-  std::vector<std::uint8_t> body;
-  net::encode_subscribe(body, 0);
-  client.send_frame(net::FrameType::kSubscribe, body);
+  std::vector<std::uint8_t> route_body, sub_body, bytes;
+  net::encode_route_request(route_body, qs.data(), qs.size());
+  net::encode_subscribe(sub_body, 0);
+  net::append_frame(bytes, net::FrameType::kRoute, 1, route_body);
+  net::append_frame(bytes, net::FrameType::kSubscribe, 2, sub_body);
+  client.send_bytes(bytes.data(), bytes.size());
 
   EXPECT_EQ(client.recv_route().size(), qs.size());
   const auto f = client.recv_frame();

@@ -1,4 +1,6 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -669,6 +671,94 @@ TEST(FrozenScheme, BothImageVersionsRoundTripByteIdentically) {
 
   EXPECT_THROW(f.save_as(1), std::logic_error);
   EXPECT_THROW(f.save_as(4), std::logic_error);
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::vector<std::uint8_t> bytes;
+  std::FILE* fp = std::fopen(path.c_str(), "rb");
+  if (fp == nullptr) return bytes;
+  std::uint8_t buf[1 << 14];
+  for (std::size_t got; (got = std::fread(buf, 1, sizeof(buf), fp)) > 0;) {
+    bytes.insert(bytes.end(), buf, buf + got);
+  }
+  std::fclose(fp);
+  return bytes;
+}
+
+bool file_exists(const std::string& path) {
+  std::FILE* fp = std::fopen(path.c_str(), "rb");
+  if (fp != nullptr) std::fclose(fp);
+  return fp != nullptr;
+}
+
+TEST(FrozenScheme, StreamedFileSavesMatchInMemorySaves) {
+  // save_file() and the checkpoint writer stream the image through the
+  // same emitter as save(); the bytes on disk must be exactly save()'s
+  // for every kind of instance: frozen (v3), loaded (v2) and mapped (v3).
+  const auto g = test_graph(120, 6250);
+  const auto s = build_scheme(g, 3, true, 91);
+  const auto f = serve::FrozenScheme::freeze(s);
+  const std::string path = ::testing::TempDir() + "/nors_stream.bin";
+
+  f.save_file(path);
+  EXPECT_EQ(read_file(path), f.save());
+
+  const auto v2 = serve::FrozenScheme::load(f.save_as(2));
+  ASSERT_EQ(v2.format_version(), 2u);
+  v2.save_file(path);
+  EXPECT_EQ(read_file(path), v2.save());
+
+  with_mapped(f, "stream", [&](const serve::FrozenScheme& mapped) {
+    mapped.save_file(path);
+    EXPECT_EQ(read_file(path), mapped.save());
+    EXPECT_EQ(read_file(path), f.save());
+  });
+
+  // Weight repairs, a failure (skipped) and a no-op, through the durable
+  // checkpoint writer, on both versions.
+  const std::vector<std::pair<std::int64_t, graph::Dist>> overrides = {
+      {0, 7}, {3, -1}, {5, 1000}, {11, f.link_map()[11].w}};
+  for (const serve::FrozenScheme* img : {&f, &v2}) {
+    img->save_file_with_link_weights(path, overrides);
+    const auto expect = img->save_with_link_weights(overrides);
+    EXPECT_EQ(read_file(path), expect);
+    EXPECT_NE(expect, img->save());
+  }
+  EXPECT_FALSE(file_exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(FrozenScheme, SaveFileReplacesAMappedImageWithoutTruncatingIt) {
+  // Regression: save_file used to truncate the target in place, so a
+  // process with that path map()ped took SIGBUS on its next read past the
+  // new end. It now writes path.tmp and renames it over the target; the
+  // mapping keeps the old inode's pages.
+  const std::string path = ::testing::TempDir() + "/nors_replace.bin";
+  const auto big = serve::FrozenScheme::freeze(
+      build_scheme(test_graph(2048, 6260), 3, true, 93));
+  big.save_file(path);
+  const auto original = big.save();
+  const auto mapped = serve::FrozenScheme::map(path);
+  ASSERT_TRUE(mapped.is_mapped());
+
+  const auto small = serve::FrozenScheme::freeze(
+      build_scheme(test_graph(256, 6261), 3, true, 94));
+  small.save_file(path);
+  EXPECT_EQ(mapped.save(), original);
+  EXPECT_EQ(read_file(path), small.save());
+  EXPECT_FALSE(file_exists(path + ".tmp"));
+
+  // A save that fails leaves neither a truncated target nor a temp file:
+  // a directory cannot be renamed over, and a missing one cannot hold the
+  // temp file.
+  const std::string dir = ::testing::TempDir() + "/nors_replace_dir";
+  std::remove(dir.c_str());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  EXPECT_THROW(small.save_file(dir), std::runtime_error);
+  EXPECT_FALSE(file_exists(dir + ".tmp"));
+  ::rmdir(dir.c_str());
+  EXPECT_THROW(small.save_file(dir + "/missing/img.bin"), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 TEST(FrozenSchemeMap, HugepageEnvSmoke) {
