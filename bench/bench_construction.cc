@@ -12,6 +12,11 @@
 // and records freeze_s/save_s; peak_rss_mb is read before that tail, so it
 // stays the construction-only figure it always was.
 //
+// middle_skip_frac = 1 − settled / (|S|·n) is the share of the middle
+// level's per-root n-vertex detection rows the join-pruned sweeps never
+// built (0 when every root sweeps the whole graph). It is a deterministic
+// count, not a timing; CI floors it at the n=8192 smoke.
+//
 // NORS_BENCH_N caps the largest n for smoke runs (e.g. CI sets 8192);
 // NORS_BENCH_THREADS overrides the threaded row's pool size (default 8).
 // Note resolve_threads clamps pools to the hardware concurrency, so on a
@@ -61,7 +66,7 @@ int main() {
   bench::JsonReport report("construction");
   util::TextTable table({"n", "threads", "wall_s", "rounds", "trees",
                          "peak_rss_mb", "alloc_mb", "arena_reuse_pct",
-                         "freeze_s", "save_s"});
+                         "freeze_s", "save_s", "middle_skip_frac"});
 
   const int max_n = bench::env_n(1 << 16);
   const int pool = threaded_pool_size();
@@ -107,6 +112,14 @@ int main() {
         save_s = ts.seconds();
         std::remove(path.c_str());
       }
+      const int middle = (p.k - 1) / 2;
+      std::int64_t middle_roots = 0;
+      for (const auto& t : s.trees()) middle_roots += t.level == middle;
+      const double middle_skip_frac =
+          middle_roots == 0
+              ? 0.0
+              : 1.0 - static_cast<double>(s.middle_settled()) /
+                          (static_cast<double>(middle_roots) * n);
       if (threads == 1) {
         serial_rounds = s.total_rounds();
       } else {
@@ -124,7 +137,8 @@ int main() {
                      util::TextTable::fmt(alloc_mb),
                      util::TextTable::fmt(reuse_pct),
                      util::TextTable::fmt(freeze_s),
-                     util::TextTable::fmt(save_s)});
+                     util::TextTable::fmt(save_s),
+                     util::TextTable::fmt(middle_skip_frac)});
       report.row()
           .field("row", "construction")
           .field("n", n)
@@ -138,7 +152,8 @@ int main() {
           .field("alloc_mb", alloc_mb)
           .field("arena_reuse_pct", reuse_pct)
           .field("freeze_s", freeze_s)
-          .field("save_s", save_s);
+          .field("save_s", save_s)
+          .field("middle_skip_frac", middle_skip_frac);
       }
       // Row isolation: the scheme just went out of scope — release its
       // heap pages so the next row's peak reflects its own footprint, not

@@ -242,7 +242,8 @@ NetworkStats Network::run(NodeProgram& prog) {
       awake_[static_cast<std::size_t>(v)] = 0;
     }
 
-    auto run_range = [&](std::size_t lo, std::size_t hi, internal::Outbox& ob) {
+    auto run_range = [&](std::size_t lo, std::size_t hi, int t) {
+      internal::Outbox& ob = outboxes_[static_cast<std::size_t>(t)];
       for (std::size_t i = lo; i < hi; ++i) {
         const graph::Vertex v = running[i];
         const auto vi = static_cast<std::size_t>(v);
@@ -252,13 +253,13 @@ NetworkStats Network::run(NodeProgram& prog) {
         const MessageView inbox =
             cnt == 0 ? MessageView{}
                      : MessageView{inbox_.data() + (inbox_end_[vi] - cnt), cnt};
-        Sender out(*this, v, ob);
+        Sender out(*this, v, ob, t);
         prog.on_round(v, inbox, out);
       }
     };
 
-    if (nthreads == 1 || running.size() < 2) {
-      run_range(0, running.size(), outboxes_[0]);
+    if (nthreads == 1 || running.size() < kMinParallelVertices) {
+      run_range(0, running.size(), 0);
     } else {
       const std::size_t chunk =
           (running.size() + static_cast<std::size_t>(nthreads) - 1) /
@@ -270,9 +271,21 @@ NetworkStats Network::run(NodeProgram& prog) {
         const std::size_t lo =
             std::min(running.size(), chunk * static_cast<std::size_t>(t));
         const std::size_t hi = std::min(running.size(), lo + chunk);
+        // Size the worker's outbox here, on the calling thread, for one
+        // message per port: vectors grown on a worker come from that
+        // thread's malloc arena, where the freed buffers stay resident
+        // (~6 MB of peak RSS on an n = 2^15 construction).
+        std::size_t ports = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          ports += static_cast<std::size_t>(g_.degree(running[i]));
+        }
+        internal::Outbox& ob = outboxes_[static_cast<std::size_t>(t)];
+        ob.link.reserve(ports);
+        ob.msg.reserve(ports);
+        ob.wakes.reserve(hi - lo);
         workers.emplace_back([&, t, lo, hi] {
           try {
-            run_range(lo, hi, outboxes_[static_cast<std::size_t>(t)]);
+            run_range(lo, hi, t);
           } catch (...) {
             errors[static_cast<std::size_t>(t)] = std::current_exception();
           }

@@ -53,15 +53,21 @@ class Sender {
   /// Ask the engine to run this vertex again next round even without inbox
   /// traffic (used by sources that emit over several rounds).
   void wake_self();
+  /// Dense id (0..Options::threads-1) of the pool worker executing this
+  /// round's handler — for per-worker scratch such as allocation arenas.
+  /// Vertices never migrate mid-handler, but the worker serving a vertex
+  /// varies from round to round; state owned by v must not key on it.
+  int worker() const { return worker_; }
 
  private:
   friend class Network;
-  Sender(Network& net, graph::Vertex v, internal::Outbox& ob)
-      : net_(net), v_(v), ob_(ob) {}
+  Sender(Network& net, graph::Vertex v, internal::Outbox& ob, int worker)
+      : net_(net), v_(v), ob_(ob), worker_(worker) {}
 
   Network& net_;
   graph::Vertex v_;
   internal::Outbox& ob_;
+  int worker_;
 };
 
 /// A distributed algorithm: per-vertex handler invoked once per round with
@@ -86,8 +92,10 @@ class NodeProgram {
 /// in one contiguous slab grouped by directed link; each round:
 ///   1. every queued link delivers up to `edge_capacity` messages into a
 ///      per-round inbox slab, and the receivers are scheduled,
-///   2. every scheduled vertex runs on_round (in vertex order, optionally
-///      chunked across a thread pool with per-thread outboxes),
+///   2. every scheduled vertex runs on_round (in vertex order; with
+///      Options::threads > 1, rounds scheduling at least
+///      kMinParallelVertices vertices are chunked across a thread pool with
+///      per-thread outboxes, smaller rounds run inline),
 ///   3. undelivered leftovers and the round's outboxes are merged into the
 ///      next queue slab (double buffer) at the round barrier. The active
 ///      link list stays sorted by construction: delivery compacts the
@@ -108,8 +116,14 @@ class Network {
   struct Options {
     int edge_capacity = 1;          // messages per directed edge per round
     std::int64_t max_rounds = 50'000'000;
-    int threads = 1;                // opt-in parallel on_round execution
+    /// Workers for on_round. Outboxes merge in vertex order at the round
+    /// barrier, so any value yields the same deliveries, rounds and stats.
+    int threads = 1;
   };
+
+  /// Rounds scheduling fewer vertices run inline even when threads > 1:
+  /// below this, starting the round's workers costs more than the handlers.
+  static constexpr std::size_t kMinParallelVertices = 2048;
 
   /// The graph must be frozen: link ids index its CSR adjacency directly.
   Network(const graph::WeightedGraph& g, Options opt);

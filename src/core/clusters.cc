@@ -8,6 +8,7 @@
 #include "primitives/cluster_bf.h"
 #include "primitives/pipelined.h"
 #include "util/arena.h"
+#include "util/threads.h"
 
 namespace nors::core {
 
@@ -214,7 +215,7 @@ std::vector<ClusterTree> build_small_level_trees(
     return b < pivots.dist[row + static_cast<std::size_t>(v)];
   };
   auto result = primitives::distributed_cluster_bellman_ford(
-      g, roots, admit, params.edge_capacity);
+      g, roots, admit, params.edge_capacity, params.threads);
   ledger.add("clusters/small level " + std::to_string(level),
              congest::CostKind::kSimulated, result.rounds, result.messages,
              "roots=" + std::to_string(roots.size()));
@@ -243,10 +244,11 @@ std::vector<ClusterTree> build_small_level_trees(
 std::vector<ClusterTree> build_middle_level_trees(
     const graph::WeightedGraph& g, const primitives::Hierarchy& h, int level,
     const PivotTable& pivots, const SchemeParams& params, int bfs_height,
-    congest::RoundLedger& ledger) {
+    congest::RoundLedger& ledger, std::int64_t* settled) {
   const int n = g.n();
   const std::vector<Vertex> roots = h.exactly_at(level);
   std::vector<ClusterTree> trees;
+  if (settled != nullptr) *settled = 0;
   if (roots.empty()) return trees;
 
   // B = hit_constant · n^{(i+1)/k} · ln n (Corollary 4 depth bound).
@@ -257,40 +259,36 @@ std::vector<ClusterTree> build_middle_level_trees(
       static_cast<double>(ln_ceil(n)));
   b = std::min<std::int64_t>(std::max<std::int64_t>(1, b), n);
 
-  // Streaming source detection (DESIGN.md §9): rows arrive source-major and
-  // each root's tree is built straight from its row — the |S| × n distance
-  // slab that used to dominate peak RSS at this level never exists. Every
-  // root owns its tree slot, so the sink is safe under any pool size and
-  // the trees come out bit-identical to the slab-based construction.
+  // Join-pruned source detection (DESIGN.md §7.2): each root's sweep
+  // expands only its own cluster, and the members arrive sorted, so each
+  // tree is built straight from them — no n-vertex row per root, and no
+  // |S| × n slab (§9). Every root owns its tree slot, so the sink is safe
+  // under any pool size and the trees come out bit-identical to filtering
+  // the full rows by the join condition b_v(u) < d(v, A_{i+1}).
   const std::size_t row = static_cast<std::size_t>(level + 1) * n;
   trees.resize(roots.size());
-  const auto stats = primitives::source_detection_stream(
+  const auto stats = primitives::cluster_detection_stream(
       g, roots, b, params.epsilon(), bfs_height, params.threads,
-      [&](int si, std::span<const Dist> dist,
-          std::span<const std::int32_t> port) {
+      {pivots.dist.data() + row, static_cast<std::size_t>(n)},
+      [&](int si, std::span<const primitives::DetectedMember> members) {
         const Vertex u = roots[static_cast<std::size_t>(si)];
-        ClusterTree t;
+        ClusterTree& t = trees[static_cast<std::size_t>(si)];
         t.root = u;
         t.level = level;
-        for (Vertex v = 0; v < n; ++v) {
-          const Dist bv = dist[static_cast<std::size_t>(v)];
-          if (graph::is_inf(bv)) continue;
-          const bool is_root = (v == u);
-          if (!is_root &&
-              bv >= pivots.dist[row + static_cast<std::size_t>(v)]) {
-            continue;  // join condition b_v(u) < d(v, A_{i+1})
-          }
+        t.members.reserve(members.size());
+        t.info.reserve(members.size());
+        for (const auto& m : members) {
           ClusterMember mem;
-          mem.b = bv;
-          if (!is_root) {
-            mem.parent_port = port[static_cast<std::size_t>(v)];
+          mem.b = m.b;
+          if (m.v != u) {
+            mem.parent_port = m.port;
             NORS_CHECK(mem.parent_port != graph::kNoPort);
-            mem.parent = g.edge(v, mem.parent_port).to;
+            mem.parent = g.edge(m.v, mem.parent_port).to;
           }
-          t.add(v, mem);
+          t.add(m.v, mem);
         }
-        trees[static_cast<std::size_t>(si)] = std::move(t);
       });
+  if (settled != nullptr) *settled = stats.settled;
   ledger.add("clusters/middle level " + std::to_string(level),
              congest::CostKind::kAccounted, stats.round_cost, 0,
              "|S|=" + std::to_string(roots.size()) + " B=" + std::to_string(b));
@@ -484,7 +482,13 @@ std::vector<ClusterTree> build_large_level_trees(
     }
   }
 
-  for (int s = 0; s < r; ++s) {
+  // Every root slot owns its tree and reads only shared phase-1 state, so
+  // the slots run on the pool (bit-identical for any pool size).
+  const int nthreads = static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(util::resolve_threads(params.threads)),
+      static_cast<std::size_t>(r)));
+  const auto extend = [&](int, std::size_t slot) {
+    const int s = static_cast<int>(slot);
     auto& tree = trees[static_cast<std::size_t>(s)];
     const Vertex u = roots[static_cast<std::size_t>(s)];
     const auto* bc_begin = bc.data() + bc_off[static_cast<std::size_t>(s)];
@@ -539,7 +543,8 @@ std::vector<ClusterTree> build_large_level_trees(
       mem.parent = g.edge(y, mem.parent_port).to;
       tree.add(y, mem);
     }
-  }
+  };
+  util::parallel_for(nthreads, static_cast<std::size_t>(r), extend);
   ledger.add("clusters/large level " + std::to_string(level) + " phase2",
              congest::CostKind::kAccounted,
              primitives::pipelined_broadcast_rounds(
@@ -549,79 +554,88 @@ std::vector<ClusterTree> build_large_level_trees(
 }
 
 std::int64_t sanitize_trees(const graph::WeightedGraph& g,
-                            std::vector<ClusterTree>& trees) {
-  std::int64_t pruned = 0;
-  std::vector<int> par, cnt, off, child, queue;
-  std::vector<char> keep;
-  // Vertex → member-index map shared across trees: filled and cleared per
-  // tree through the member list, so lookups are O(1) without hashing.
-  std::vector<int> pos_of(static_cast<std::size_t>(g.n()), -1);
-  for (auto& t : trees) {
+                            std::vector<ClusterTree>& trees, int threads) {
+  // Per-worker scratch. pos_of is the vertex → member-index map: filled
+  // and cleared per tree through the member list, so lookups are O(1)
+  // without hashing.
+  struct Scratch {
+    std::vector<int> par, cnt, off, cursor, child, queue, pos_of;
+    std::vector<char> keep;
+  };
+  const int nthreads = static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(util::resolve_threads(threads)),
+      std::max<std::size_t>(trees.size(), 1)));
+  std::vector<Scratch> scratch(static_cast<std::size_t>(nthreads));
+  for (Scratch& sc : scratch) {
+    sc.pos_of.assign(static_cast<std::size_t>(g.n()), -1);
+  }
+  std::vector<std::int64_t> pruned_of(trees.size(), 0);
+  util::parallel_for(nthreads, trees.size(), [&](int w, std::size_t ti) {
+    Scratch& sc = scratch[static_cast<std::size_t>(w)];
+    ClusterTree& t = trees[ti];
     // Keep exactly the members reachable from the root through parent
     // pointers that are consistent: parent is a member, the edge is real,
     // and b_v ≥ w(v,p) + b_p (Claim 7). All index-based over the sorted
     // member array — one linear BFS, no hashing.
     const std::size_t sz = t.size();
     for (std::size_t i = 0; i < sz; ++i) {
-      pos_of[static_cast<std::size_t>(t.members[i])] = static_cast<int>(i);
+      sc.pos_of[static_cast<std::size_t>(t.members[i])] = static_cast<int>(i);
     }
-    par.assign(sz, -1);
-    cnt.assign(sz, 0);
+    sc.par.assign(sz, -1);
+    sc.cnt.assign(sz, 0);
     for (std::size_t i = 0; i < sz; ++i) {
       if (t.members[i] == t.root) continue;
       // A parent outside the vertex range (e.g. kNoVertex from a failed whp
       // event) is simply "not a member": the vertex gets pruned below.
       const graph::Vertex parent = t.info[i].parent;
       const int p = parent >= 0 && parent < g.n()
-                        ? pos_of[static_cast<std::size_t>(parent)]
+                        ? sc.pos_of[static_cast<std::size_t>(parent)]
                         : -1;
-      par[i] = p;
-      if (p >= 0) ++cnt[static_cast<std::size_t>(p)];
+      sc.par[i] = p;
+      if (p >= 0) ++sc.cnt[static_cast<std::size_t>(p)];
     }
-    off.assign(sz + 1, 0);
-    for (std::size_t i = 0; i < sz; ++i) off[i + 1] = off[i] + cnt[i];
-    child.resize(sz);
-    {
-      std::vector<int> cursor(off.begin(), off.end() - 1);
-      for (std::size_t i = 0; i < sz; ++i) {
-        if (t.members[i] == t.root || par[i] < 0) continue;
-        child[static_cast<std::size_t>(
-            cursor[static_cast<std::size_t>(par[i])]++)] =
-            static_cast<int>(i);
-      }
+    sc.off.assign(sz + 1, 0);
+    for (std::size_t i = 0; i < sz; ++i) sc.off[i + 1] = sc.off[i] + sc.cnt[i];
+    sc.child.resize(sz);
+    sc.cursor.assign(sc.off.begin(), sc.off.end() - 1);
+    for (std::size_t i = 0; i < sz; ++i) {
+      if (t.members[i] == t.root || sc.par[i] < 0) continue;
+      sc.child[static_cast<std::size_t>(
+          sc.cursor[static_cast<std::size_t>(sc.par[i])]++)] =
+          static_cast<int>(i);
     }
-    keep.assign(sz, 0);
-    queue.clear();
-    const int root_idx = pos_of[static_cast<std::size_t>(t.root)];
+    sc.keep.assign(sz, 0);
+    sc.queue.clear();
+    const int root_idx = sc.pos_of[static_cast<std::size_t>(t.root)];
     if (root_idx >= 0) {
-      keep[static_cast<std::size_t>(root_idx)] = 1;
-      queue.push_back(root_idx);
+      sc.keep[static_cast<std::size_t>(root_idx)] = 1;
+      sc.queue.push_back(root_idx);
     }
     std::size_t head = 0;
     std::size_t kept = root_idx >= 0 ? 1 : 0;
-    while (head < queue.size()) {
-      const auto p = static_cast<std::size_t>(queue[head++]);
+    while (head < sc.queue.size()) {
+      const auto p = static_cast<std::size_t>(sc.queue[head++]);
       const Dist bp = t.info[p].b;
-      for (int c = off[p]; c < off[p + 1]; ++c) {
+      for (int c = sc.off[p]; c < sc.off[p + 1]; ++c) {
         const auto i = static_cast<std::size_t>(
-            child[static_cast<std::size_t>(c)]);
+            sc.child[static_cast<std::size_t>(c)]);
         const auto& mem = t.info[i];
         const auto& e = g.edge(t.members[i], mem.parent_port);
         if (e.to != t.members[p]) continue;
         if (mem.b < bp + e.w) continue;  // Claim 7 violated
-        keep[i] = 1;
+        sc.keep[i] = 1;
         ++kept;
-        queue.push_back(static_cast<int>(i));
+        sc.queue.push_back(static_cast<int>(i));
       }
     }
     for (std::size_t i = 0; i < sz; ++i) {
-      pos_of[static_cast<std::size_t>(t.members[i])] = -1;
+      sc.pos_of[static_cast<std::size_t>(t.members[i])] = -1;
     }
     if (kept != sz) {
-      pruned += static_cast<std::int64_t>(sz - kept);
+      pruned_of[ti] = static_cast<std::int64_t>(sz - kept);
       std::size_t w = 0;
       for (std::size_t i = 0; i < sz; ++i) {
-        if (!keep[i]) continue;
+        if (!sc.keep[i]) continue;
         t.members[w] = t.members[i];
         t.info[w] = t.info[i];
         ++w;
@@ -629,7 +643,9 @@ std::int64_t sanitize_trees(const graph::WeightedGraph& g,
       t.members.resize(w);
       t.info.resize(w);
     }
-  }
+  });
+  std::int64_t pruned = 0;
+  for (const std::int64_t p : pruned_of) pruned += p;  // tree order
   return pruned;
 }
 

@@ -107,10 +107,12 @@ std::vector<ClusterTree> build_small_level_trees(
 
 /// §3.2 middle level (odd k only): Theorem-1 source detection from
 /// S = A_i \ A_{i+1}, join iff b_v(u) < d(v, A_{i+1}), parents via Remark 1.
+/// The sweeps are join-pruned (primitives::cluster_detection_stream);
+/// `settled`, when given, receives the vertices they settled.
 std::vector<ClusterTree> build_middle_level_trees(
     const graph::WeightedGraph& g, const primitives::Hierarchy& h, int level,
     const PivotTable& pivots, const SchemeParams& params, int bfs_height,
-    congest::RoundLedger& ledger);
+    congest::RoundLedger& ledger, std::int64_t* settled = nullptr);
 
 /// §3.3.2 large levels: Phase 1 (β-iteration bounded Bellman–Ford on G''
 /// with condition (14)), Phase 1.5 (path-reporting fix-up of hopset-edge
@@ -125,8 +127,10 @@ std::vector<ClusterTree> build_large_level_trees(
 /// Validates Claim 7 on every tree (parent is a member over a real edge and
 /// b_v ≥ w(v,p) + b_p), pruning any member whose parent chain is broken
 /// (possible only when a whp sampling event failed). Returns the number of
-/// pruned members — 0 in every healthy construction.
+/// pruned members — 0 in every healthy construction. Trees are checked on a
+/// pool of `threads` workers (0 consults NORS_THREADS); the result is the
+/// same for any value.
 std::int64_t sanitize_trees(const graph::WeightedGraph& g,
-                            std::vector<ClusterTree>& trees);
+                            std::vector<ClusterTree>& trees, int threads = 1);
 
 }  // namespace nors::core

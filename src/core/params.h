@@ -35,10 +35,12 @@ struct SchemeParams {
   /// CONGEST per-edge capacity (1 = the standard model).
   int edge_capacity = 1;
 
-  /// Worker threads for the construction-side batch phases (the Section-6
-  /// per-tree builds). 0 consults the NORS_THREADS environment variable;
-  /// 1 is serial. Every value yields bit-identical schemes, labels, round
-  /// counts and ledgers — the pool only changes wall-clock (DESIGN.md §7).
+  /// Worker threads for construction: level-0 simulated rounds,
+  /// source-detection sweeps, large-level phase 2, tree sanitizing and the
+  /// Section-6 per-tree builds. 0 consults the NORS_THREADS environment
+  /// variable; 1 is serial. Every value yields bit-identical schemes,
+  /// labels, round counts and ledgers — the pool only changes wall-clock
+  /// (DESIGN.md §7.2).
   int threads = 0;
 
   /// Retries with doubled hop bound B if top-level tree coverage fails

@@ -77,6 +77,7 @@ RoutingScheme RoutingScheme::build(const graph::WeightedGraph& g,
     NORS_CHECK_MSG(attempt <= params.max_b_retries,
                    "top-level coverage failed after retries");
     s.trees_.clear();
+    s.middle_settled_ = 0;
     congest::RoundLedger attempt_ledger;
 
     Preprocess pre;
@@ -102,8 +103,10 @@ RoutingScheme RoutingScheme::build(const graph::WeightedGraph& g,
                                                 attempt_ledger);
           break;
         case LevelKind::kMiddle:
-          level_trees = build_middle_level_trees(
-              g, h, i, s.pivots_, attempt_params, height, attempt_ledger);
+          level_trees = build_middle_level_trees(g, h, i, s.pivots_,
+                                                 attempt_params, height,
+                                                 attempt_ledger,
+                                                 &s.middle_settled_);
           break;
         case LevelKind::kLarge:
           level_trees = build_large_level_trees(g, h, i, s.pivots_, pre,
@@ -114,7 +117,7 @@ RoutingScheme RoutingScheme::build(const graph::WeightedGraph& g,
       for (auto& t : level_trees) s.trees_.push_back(std::move(t));
     }
 
-    s.pruned_ = sanitize_trees(g, s.trees_);
+    s.pruned_ = sanitize_trees(g, s.trees_, params.threads);
     // The member/info columns were grown by push_back; give back the
     // geometric-growth slack now — the trees stay resident for the
     // scheme's lifetime and the batch peak sits on top of them (§9.2).

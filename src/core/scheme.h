@@ -74,6 +74,9 @@ class RoutingScheme {
   }
   int tree_index(graph::Vertex root) const;
   std::int64_t pruned_members() const { return pruned_; }
+  /// Vertices the middle level's join-pruned sweeps settled (n per root
+  /// that ran the full detection row); |S|·n would mean nothing pruned.
+  std::int64_t middle_settled() const { return middle_settled_; }
   int coverage_retries() const { return coverage_retries_; }
   int beta() const { return beta_; }
 
@@ -118,6 +121,7 @@ class RoutingScheme {
   std::vector<LabelEntry> labels_;
   std::vector<int> level_;  // hierarchy level per vertex
   std::int64_t pruned_ = 0;
+  std::int64_t middle_settled_ = 0;
   int coverage_retries_ = 0;
   int beta_ = 0;
 };

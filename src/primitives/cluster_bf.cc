@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "util/arena.h"
+#include "util/threads.h"
 
 namespace nors::primitives {
 
@@ -26,8 +27,12 @@ constexpr std::int32_t kQueueTail = -1;  // next_q: queued, last in line
 class ClusterBfProgram : public congest::NodeProgram {
  public:
   ClusterBfProgram(const graph::WeightedGraph& g,
-                   const std::vector<Vertex>& roots, const AdmitFn& admit)
-      : g_(g), admit_(admit), roots_(roots) {
+                   const std::vector<Vertex>& roots, const AdmitFn& admit,
+                   int workers)
+      : g_(g),
+        admit_(admit),
+        roots_(roots),
+        arenas_(static_cast<std::size_t>(workers)) {
     const auto n = static_cast<std::size_t>(g.n());
     list_.assign_fill(n, List{});
     q_head_.assign_fill(n, -1);
@@ -40,7 +45,7 @@ class ClusterBfProgram : public congest::NodeProgram {
       root_slot_[static_cast<std::size_t>(u)] = static_cast<int>(s);
       const std::int32_t at = append_entry(
           u, static_cast<std::int32_t>(s),
-          ClusterEntry{0, graph::kNoVertex, graph::kNoPort});
+          ClusterEntry{0, graph::kNoVertex, graph::kNoPort}, arenas_[0]);
       push_announce(u, at);
     }
   }
@@ -74,7 +79,10 @@ class ClusterBfProgram : public congest::NodeProgram {
                  : list.ptr[at].rec.dist;
       if (d >= current) continue;
       if (v != root && !admit_(v, root, d)) continue;
-      if (at < 0) at = append_entry(v, slot, ClusterEntry{});
+      if (at < 0) {
+        at = append_entry(v, slot, ClusterEntry{},
+                          arenas_[static_cast<std::size_t>(out.worker())]);
+      }
       auto& e = list_[vi].ptr[at].rec;
       e.dist = d;
       e.parent = m.from;
@@ -130,9 +138,12 @@ class ClusterBfProgram : public congest::NodeProgram {
   }
 
  private:
-  /// Per-vertex contiguous entry block in the arena; doubled in place on
-  /// growth (the superseded block stays arena garbage until reset — bounded
-  /// by 2× the final footprint and recycled with the pool).
+  /// Per-vertex contiguous entry block in the executing worker's arena;
+  /// doubled on growth (the superseded block stays arena garbage until
+  /// reset — bounded by 2× the final footprint and recycled with the
+  /// pool). A block may outgrow into another worker's arena in a later
+  /// round; every arena lives as long as the program, and flatten() copies
+  /// the entries out in vertex order, so placement never shows.
   struct List {
     Entry* ptr = nullptr;
     std::int32_t cnt = 0;
@@ -140,11 +151,11 @@ class ClusterBfProgram : public congest::NodeProgram {
   };
 
   std::int32_t append_entry(Vertex v, std::int32_t slot,
-                            const ClusterEntry& rec) {
+                            const ClusterEntry& rec, util::Arena& arena) {
     List& list = list_[static_cast<std::size_t>(v)];
     if (list.cnt == list.cap) {
       const std::int32_t cap = std::max<std::int32_t>(4, 2 * list.cap);
-      Entry* bigger = arena_.alloc<Entry>(static_cast<std::size_t>(cap));
+      Entry* bigger = arena.alloc<Entry>(static_cast<std::size_t>(cap));
       if (list.cnt > 0) {
         std::memcpy(bigger, list.ptr,
                     static_cast<std::size_t>(list.cnt) * sizeof(Entry));
@@ -174,7 +185,7 @@ class ClusterBfProgram : public congest::NodeProgram {
   const graph::WeightedGraph& g_;
   const AdmitFn& admit_;
   const std::vector<Vertex>& roots_;
-  util::Arena arena_;  // entry blocks
+  std::vector<util::Arena> arenas_;  // entry blocks, one arena per worker
   util::PooledBuf<std::int32_t> root_slot_;  // graph vertex -> slot, or -1
   util::PooledBuf<List> list_;               // per-vertex entry block
   util::PooledBuf<std::int32_t> q_head_, q_tail_;  // per-vertex queue, by
@@ -185,9 +196,11 @@ class ClusterBfProgram : public congest::NodeProgram {
 
 ClusterBfResult distributed_cluster_bellman_ford(
     const graph::WeightedGraph& g, const std::vector<Vertex>& roots,
-    const AdmitFn& admit, int edge_capacity) {
-  ClusterBfProgram prog(g, roots, admit);
-  congest::Network net(g, {.edge_capacity = edge_capacity});
+    const AdmitFn& admit, int edge_capacity, int threads) {
+  const int workers = util::resolve_threads(threads);
+  ClusterBfProgram prog(g, roots, admit, workers);
+  congest::Network net(
+      g, {.edge_capacity = edge_capacity, .threads = workers});
   const auto stats = net.run(prog);
   ClusterBfResult r;
   r.roots = roots;

@@ -47,11 +47,17 @@ struct ClusterBfResult {
 
 /// admit(v, root, dist): may v join root's cluster at this distance?
 /// Roots always hold their own entry with dist 0 (admit is not consulted).
+/// With threads > 1 it is called concurrently for distinct v.
 using AdmitFn =
     std::function<bool(graph::Vertex v, graph::Vertex root, graph::Dist d)>;
 
+/// `threads`: workers for the simulated rounds (Network::Options::threads;
+/// 0 consults NORS_THREADS, 1 is serial). Each vertex's handler touches only
+/// v's own entry list and queue, allocating from its worker's arena, and the
+/// engine merges sends in vertex order, so the result, rounds and messages
+/// are bit-identical for any value.
 ClusterBfResult distributed_cluster_bellman_ford(
     const graph::WeightedGraph& g, const std::vector<graph::Vertex>& roots,
-    const AdmitFn& admit, int edge_capacity = 1);
+    const AdmitFn& admit, int edge_capacity = 1, int threads = 1);
 
 }  // namespace nors::primitives

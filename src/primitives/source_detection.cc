@@ -1,6 +1,7 @@
 #include "primitives/source_detection.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 
@@ -153,6 +154,8 @@ struct FastScratch {
   std::vector<Vertex> touched;
   std::vector<std::vector<Vertex>> buckets;
   int max_layer = 0;
+  // run_pruned only: members in settle order, past-window offers.
+  std::vector<Vertex> member_ids, overflow, sort_scratch;
   // Compact CSR (built lazily, same indexing as the graph's half edges).
   bool csr_built = false;
   bool csr_ok = false;
@@ -306,111 +309,201 @@ bool run_fast_exact(const graph::WeightedGraph& g, Vertex src,
   return true;
 }
 
+/// Join-pruned Dial sweep (cluster_detection_stream): run_fast_exact's
+/// settle rule — every shortest-path predecessor of v settles and relaxes v
+/// before v settles, so layers and first-writer ports resolve during
+/// relaxation — but edges are relaxed only out of members (the source, and
+/// every v settled at d < bound[v]). Non-members still settle (that is how
+/// they are classified) and are never expanded. The caller's soundness
+/// argument needs every member inside the scale window (distance ≤ cap,
+/// layer ≤ hop_bound); returns false — leaving no state behind — when a
+/// member breaks it. A relaxation past `cap` that offers a vertex a value
+/// below its bound names a member (the offer is a real path length), which
+/// lies beyond the window unless it settles inside it. On success `out`
+/// holds the members in ascending vertex order. `settled` counts every
+/// settled vertex, success or not.
+bool run_pruned(const graph::WeightedGraph& g, Vertex src,
+                std::int64_t hop_bound, Dist cap, const Dist* bound,
+                FastScratch& f, std::vector<DetectedMember>& out,
+                std::int64_t& settled) {
+  if (!f.csr_built) f.build_csr(g);
+  if (!f.csr_ok || cap >= (Dist{1} << 30)) return false;
+  const auto cap32 = static_cast<std::int32_t>(cap);
+  f.member_ids.clear();
+  f.overflow.clear();
+  f.cell[static_cast<std::size_t>(src)].dist = 0;
+  f.cand[static_cast<std::size_t>(src)].port = graph::kNoPort;
+  f.touched.push_back(src);
+  if (f.buckets.empty()) f.buckets.resize(1);
+  f.buckets[0].push_back(src);
+  std::int32_t max_seen = 0;
+  bool ok = true;
+  for (std::int32_t d = 0; d <= max_seen && ok; ++d) {
+    for (std::size_t bi = 0;
+         bi < f.buckets[static_cast<std::size_t>(d)].size(); ++bi) {
+      const Vertex v = f.buckets[static_cast<std::size_t>(d)][bi];
+      const auto vi = static_cast<std::size_t>(v);
+      if (f.cell[vi].dist != d || f.cell[vi].layer >= 0) continue;  // stale
+      const std::int32_t lv = v == src ? 0 : f.cand[vi].layer + 1;
+      f.cell[vi].layer = lv;
+      ++settled;
+      if (v != src && d >= bound[vi]) continue;  // not a member: no relax
+      if (lv > hop_bound) {
+        ok = false;
+        break;
+      }
+      f.member_ids.push_back(v);
+      const std::int64_t b0 = f.off[vi];
+      const std::int64_t b1 = f.off[vi + 1];
+      for (std::int64_t ei = b0; ei < b1; ++ei) {
+        const auto [to, w] = f.edges[static_cast<std::size_t>(ei)];
+        const std::int64_t nd64 = static_cast<std::int64_t>(d) + w;
+        const auto toi = static_cast<std::size_t>(to);
+        if (nd64 > cap32) {
+          if (nd64 < bound[toi]) f.overflow.push_back(to);
+          continue;
+        }
+        const auto nd = static_cast<std::int32_t>(nd64);
+        const std::int32_t cur = f.cell[toi].dist;
+        if (nd < cur) {
+          if (cur == INT32_MAX) f.touched.push_back(to);
+          f.cell[toi].dist = nd;
+          f.cand[toi] = {lv, v, static_cast<std::int32_t>(ei - b0),
+                         f.rev[static_cast<std::size_t>(ei)]};
+          if (nd > max_seen) {
+            max_seen = nd;
+            if (f.buckets.size() <= static_cast<std::size_t>(nd)) {
+              f.buckets.resize(static_cast<std::size_t>(nd) + 1);
+            }
+          }
+          f.buckets[static_cast<std::size_t>(nd)].push_back(to);
+        } else if (nd == cur) {
+          auto& c = f.cand[toi];
+          const std::int32_t p_at_u = static_cast<std::int32_t>(ei - b0);
+          if (lv < c.layer ||
+              (lv == c.layer &&
+               (v < c.u || (v == c.u && p_at_u < c.port_at_u)))) {
+            c = {lv, v, p_at_u, f.rev[static_cast<std::size_t>(ei)]};
+          }
+        }
+      }
+    }
+    if (!ok) {
+      for (std::int32_t dd = d; dd <= max_seen; ++dd) {
+        f.buckets[static_cast<std::size_t>(dd)].clear();
+      }
+    } else {
+      f.buckets[static_cast<std::size_t>(d)].clear();
+    }
+  }
+  // Members offered a value past the window must have settled inside it.
+  for (const Vertex v : f.overflow) {
+    if (!ok) break;
+    if (f.cell[static_cast<std::size_t>(v)].layer < 0) ok = false;
+  }
+  if (ok) {
+    util::radix_sort(f.member_ids, f.sort_scratch, g.n() - 1);
+    out.clear();
+    for (const Vertex v : f.member_ids) {
+      const auto vi = static_cast<std::size_t>(v);
+      out.push_back({v, f.cell[vi].dist, f.cand[vi].port});
+    }
+  }
+  f.reset();
+  return ok;
+}
+
 struct Scale {
   Dist q;
   Dist cap;
 };
 
-}  // namespace
-
-SourceDetectionStats source_detection_stream(
-    const graph::WeightedGraph& g, const std::vector<Vertex>& sources,
-    std::int64_t hop_bound, const util::Epsilon& eps, int bfs_height,
-    int threads, const SourceRowSink& sink) {
-  NORS_CHECK(!sources.empty());
-  NORS_CHECK(hop_bound >= 1);
-  const auto n = static_cast<std::size_t>(g.n());
-  SourceDetectionStats out;
-
-  // Scales 2^s up to the largest possible B-hop distance. Scale s uses
-  // quantum q_s = max(1, floor(ε·2^s / (2B))) and covers rounded distances
-  // up to cap_s = ceil(2^s/q_s) + B; every true B-hop distance d lands in
-  // the window of s* = ceil(log2 d) with error ≤ B·q_{s*} ≤ ε·d.
-  const Dist max_dist = std::min<Dist>(
-      graph::kDistInf / 4,
-      static_cast<Dist>(hop_bound) * std::max<Dist>(1, g.max_weight()));
-  std::vector<Scale> scales;
-  for (Dist scale = 1; scale > 0 && scale / 2 <= max_dist; scale *= 2) {
-    const __int128 num = static_cast<__int128>(eps.num()) * scale;
-    const __int128 den = static_cast<__int128>(eps.den()) * 2 * hop_bound;
-    const Dist q = std::max<Dist>(1, static_cast<Dist>(num / den));
-    const Dist cap = (scale + q - 1) / q + hop_bound;
-    scales.push_back({q, cap});
-  }
-  out.distinct_scales = static_cast<int>(scales.size());
-
-  // Source-major execution: every source runs exactly the scale sequence it
-  // would have run scale-major — its early exit and fast-path failure cap
-  // depend only on its own outcomes — so each source's row can be finalized
-  // (min over its scales) and handed to the sink before the next source
-  // starts, and the |sources| × n slab never exists. Quantized weights for
-  // the few q > 1 scales are shared read-only across sources (built once,
-  // on first use); q = 1 scales read the CSR weights directly.
-  //
-  // Exact (q=1) scales take the Dial fast path when its equivalence margin
-  // holds (run_fast_exact above) — the common case for the preprocessing
-  // and middle-level calls, whose hop bounds dwarf the true distances; the
-  // quantized reference sweep remains the general path and the ground
-  // truth the fast path is tested against.
-  //
-  // Validation escape hatch: NORS_SD_DISABLE_FAST=1 forces every sweep
-  // through the reference Bellman–Ford. The fast path is *defined* as
-  // bit-identical to the sweep; test_primitives pins the equivalence by
-  // diffing full results across this knob.
-  const char* no_fast = std::getenv("NORS_SD_DISABLE_FAST");
-  const bool fast_enabled = no_fast == nullptr || std::atoi(no_fast) == 0;
-
-  // Lazily built per-scale quantized weights (only q > 1 scales need them).
-  std::vector<util::PooledBuf<Dist>> wq(scales.size());
-  std::vector<std::unique_ptr<std::once_flag>> wq_once;
-  for (std::size_t s = 0; s < scales.size(); ++s) {
-    wq_once.push_back(std::make_unique<std::once_flag>());
-  }
-  const auto wq_for = [&](std::size_t sc_idx) -> const Dist* {
-    if (scales[sc_idx].q == 1) return nullptr;
-    std::call_once(*wq_once[sc_idx], [&] {
-      const Dist q = scales[sc_idx].q;
-      Dist* w = wq[sc_idx].ensure(g.total_half_edges());
-      std::size_t idx = 0;
-      for (Vertex v = 0; v < g.n(); ++v) {
-        for (const auto& e : g.neighbors(v)) {
-          w[idx++] = (e.w + q - 1) / q;
-        }
-      }
-    });
-    return wq[sc_idx].data();
-  };
-
-  // Worker arenas: one ScaleScratch/FastScratch pair plus one output row
-  // per worker thread. Sources are independent — each owns its sink slot
-  // and its own bookkeeping — so the pool size changes wall-clock only; the
-  // serial fold below consumes per-source records in a fixed order.
-  const int nthreads = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(util::resolve_threads(threads)),
-      sources.size()));
-  const int nworkers = std::max(1, nthreads);
+/// Per-call state of one source-detection stream: the scale schedule, the
+/// lazily built quantized weights of the q > 1 scales, and one scratch set
+/// and output row per pool worker. full_row() runs one source's whole scale
+/// sequence; both streaming entry points drive it.
+class Detector {
+ public:
   struct Worker {
     std::unique_ptr<ScaleScratch> scale;
     std::unique_ptr<FastScratch> fast;
     util::PooledBuf<Dist> row_d;
     util::PooledBuf<std::int32_t> row_p;
     int max_iterations = 0;
+    // cluster_detection_stream only.
+    std::vector<DetectedMember> members;
+    std::int64_t settled = 0, pruned = 0, fallback = 0;
   };
-  std::vector<Worker> workers(static_cast<std::size_t>(nworkers));
-  for (Worker& w : workers) {
-    w.scale = std::make_unique<ScaleScratch>(n);
-    w.fast = std::make_unique<FastScratch>(n);
-    w.row_d.ensure(n);
-    w.row_p.ensure(n);
-  }
-  // Source 0's per-scale outcomes drive the round charge (the pipelined
-  // [Nan14] schedule runs all sources of one scale together), recorded by
-  // whichever worker runs source 0 and folded serially below.
-  std::vector<SweepOutcome> outcomes0;
-  outcomes0.reserve(scales.size());
 
-  util::parallel_for(nthreads, sources.size(), [&](int t, std::size_t si) {
-    Worker& w = workers[static_cast<std::size_t>(t)];
+  Detector(const graph::WeightedGraph& g, const std::vector<Vertex>& sources,
+           std::int64_t hop_bound, const util::Epsilon& eps, int threads)
+      : g_(g), sources_(sources), hop_bound_(hop_bound) {
+    NORS_CHECK(!sources.empty());
+    NORS_CHECK(hop_bound >= 1);
+    const auto n = static_cast<std::size_t>(g.n());
+    // Scales 2^s up to the largest possible B-hop distance. Scale s uses
+    // quantum q_s = max(1, floor(ε·2^s / (2B))) and covers rounded
+    // distances up to cap_s = ceil(2^s/q_s) + B; every true B-hop distance
+    // d lands in the window of s* = ceil(log2 d) with error ≤ B·q_{s*} ≤ ε·d.
+    const Dist max_dist = std::min<Dist>(
+        graph::kDistInf / 4,
+        static_cast<Dist>(hop_bound) * std::max<Dist>(1, g.max_weight()));
+    for (Dist scale = 1; scale > 0 && scale / 2 <= max_dist; scale *= 2) {
+      const __int128 num = static_cast<__int128>(eps.num()) * scale;
+      const __int128 den = static_cast<__int128>(eps.den()) * 2 * hop_bound;
+      const Dist q = std::max<Dist>(1, static_cast<Dist>(num / den));
+      const Dist cap = (scale + q - 1) / q + hop_bound;
+      scales_.push_back({q, cap});
+    }
+    wq_.resize(scales_.size());
+    for (std::size_t s = 0; s < scales_.size(); ++s) {
+      wq_once_.push_back(std::make_unique<std::once_flag>());
+    }
+    outcomes0_.reserve(scales_.size());
+
+    // Validation escape hatch: NORS_SD_DISABLE_FAST=1 forces every sweep
+    // through the reference Bellman–Ford (and every cluster source through
+    // the full stream). The fast paths are *defined* as bit-identical to
+    // the sweep; test_primitives pins the equivalence by diffing results
+    // across this knob.
+    const char* no_fast = std::getenv("NORS_SD_DISABLE_FAST");
+    fast_enabled_ = no_fast == nullptr || std::atoi(no_fast) == 0;
+
+    // Worker arenas: sources are independent — each owns its sink slot and
+    // its own bookkeeping — so the pool size changes wall-clock only; the
+    // serial folds consume per-worker records in a fixed order.
+    nthreads_ = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(util::resolve_threads(threads)),
+        sources.size()));
+    workers_.resize(static_cast<std::size_t>(std::max(1, nthreads_)));
+    for (Worker& w : workers_) {
+      w.scale = std::make_unique<ScaleScratch>(n);
+      w.fast = std::make_unique<FastScratch>(n);
+      w.row_d.ensure(n);
+      w.row_p.ensure(n);
+    }
+  }
+
+  int nthreads() const { return nthreads_; }
+  Worker& worker(int t) { return workers_[static_cast<std::size_t>(t)]; }
+  const std::vector<Worker>& workers() const { return workers_; }
+  bool fast_enabled() const { return fast_enabled_; }
+  /// The first scale's window when it is exact (q = 1), else -1.
+  Dist first_exact_cap() const {
+    return scales_[0].q == 1 ? scales_[0].cap : -1;
+  }
+
+  /// Source-major execution: source si runs exactly the scale sequence it
+  /// would have run scale-major — its early exit and fast-path failure cap
+  /// depend only on its own outcomes — so its row (min over its scales) is
+  /// final in w.row_d / w.row_p on return, and the |sources| × n slab never
+  /// exists. Exact (q=1) scales take the Dial fast path when its
+  /// equivalence margin holds (run_fast_exact above) — the common case for
+  /// the preprocessing and middle-level calls, whose hop bounds dwarf the
+  /// true distances; the quantized reference sweep remains the general
+  /// path and the ground truth the fast path is tested against.
+  void full_row(std::size_t si, Worker& w) {
+    const auto n = static_cast<std::size_t>(g_.n());
     Dist* row_d = w.row_d.data();
     std::int32_t* row_p = w.row_p.data();
     // The row holds the previous source's values until the first executed
@@ -427,11 +520,11 @@ SourceDetectionStats source_detection_stream(
     // Cap at which the fast path already failed: a failure only heals once
     // the scale window grows past it.
     Dist fast_failed_cap = -1;
-    for (std::size_t sc_idx = 0; sc_idx < scales.size(); ++sc_idx) {
-      const Scale& sc = scales[sc_idx];
+    for (std::size_t sc_idx = 0; sc_idx < scales_.size(); ++sc_idx) {
+      const Scale& sc = scales_[sc_idx];
       SweepOutcome run;
-      if (fast_enabled && sc.q == 1 && fast_failed_cap < sc.cap &&
-          run_fast_exact(g, sources[si], hop_bound, sc.cap, *w.fast)) {
+      if (fast_enabled_ && sc.q == 1 && fast_failed_cap < sc.cap &&
+          run_fast_exact(g_, sources_[si], hop_bound_, sc.cap, *w.fast)) {
         FastScratch& fast = *w.fast;
         if (fast.touched.size() * 2 >= n) {
           // Dense region: one sequential pass over the cells beats chasing
@@ -477,7 +570,7 @@ SourceDetectionStats source_detection_stream(
       } else {
         if (sc.q == 1) fast_failed_cap = sc.cap;
         ScaleScratch& scratch = *w.scale;
-        run = run_scale(g, sources[si], hop_bound, wq_for(sc_idx), sc.cap,
+        run = run_scale(g_, sources_[si], hop_bound_, wq_for(sc_idx), sc.cap,
                         scratch);
         if (row_virgin) reset_row();
         for (const Vertex tv : scratch.touched) {
@@ -491,29 +584,130 @@ SourceDetectionStats source_detection_stream(
         scratch.reset();
       }
       row_virgin = false;
-      if (si == 0) outcomes0.push_back(run);
+      // Source 0's per-scale outcomes drive the round charge (the pipelined
+      // [Nan14] schedule runs all sources of one scale together), recorded
+      // by whichever worker runs source 0 and folded serially in fold().
+      if (si == 0) outcomes0_.push_back(run);
       w.max_iterations = std::max(w.max_iterations, run.iterations);
       // Early exit: an untruncated, fully converged exact-quantum sweep is
       // the complete d^(B); coarser scales can never improve on it.
-      if (sc.q == 1 && !run.truncated && run.iterations < hop_bound) break;
+      if (sc.q == 1 && !run.truncated && run.iterations < hop_bound_) break;
     }
     if (row_virgin) reset_row();  // no scale executed (impossible today,
                                   // but the sink contract is a full row)
-    sink(static_cast<int>(si), {row_d, n}, {row_p, n});
-  });
-
-  // Serial fold: the round charge per scale source 0 executed — the
-  // pipelined schedule runs all sources of one scale together, so each
-  // charge is |S| + hop layers + D — plus the iteration maximum.
-  for (const SweepOutcome& run : outcomes0) {
-    out.round_cost +=
-        static_cast<std::int64_t>(sources.size()) +
-        std::min<std::int64_t>(hop_bound, std::max(1, run.iterations)) +
-        2 * static_cast<std::int64_t>(bfs_height);
-    ++out.executed_scales;
   }
-  for (const Worker& w : workers) {
-    out.max_iterations = std::max(out.max_iterations, w.max_iterations);
+
+  /// Serial fold: the round charge per scale source 0 executed — the
+  /// pipelined schedule runs all sources of one scale together, so each
+  /// charge is |S| + hop layers + D — plus the iteration maximum over the
+  /// rows built.
+  void fold(int bfs_height, SourceDetectionStats& out) const {
+    out.distinct_scales = static_cast<int>(scales_.size());
+    for (const SweepOutcome& run : outcomes0_) {
+      out.round_cost +=
+          static_cast<std::int64_t>(sources_.size()) +
+          std::min<std::int64_t>(hop_bound_, std::max(1, run.iterations)) +
+          2 * static_cast<std::int64_t>(bfs_height);
+      ++out.executed_scales;
+    }
+    for (const Worker& w : workers_) {
+      out.max_iterations = std::max(out.max_iterations, w.max_iterations);
+    }
+  }
+
+ private:
+  /// Quantized weights for scale sc_idx (nullptr when q == 1: the sweeps
+  /// read the CSR weights directly). Built once, on first use, and shared
+  /// read-only across sources.
+  const Dist* wq_for(std::size_t sc_idx) {
+    if (scales_[sc_idx].q == 1) return nullptr;
+    std::call_once(*wq_once_[sc_idx], [&] {
+      const Dist q = scales_[sc_idx].q;
+      Dist* w = wq_[sc_idx].ensure(g_.total_half_edges());
+      std::size_t idx = 0;
+      for (Vertex v = 0; v < g_.n(); ++v) {
+        for (const auto& e : g_.neighbors(v)) {
+          w[idx++] = (e.w + q - 1) / q;
+        }
+      }
+    });
+    return wq_[sc_idx].data();
+  }
+
+  const graph::WeightedGraph& g_;
+  const std::vector<Vertex>& sources_;
+  std::int64_t hop_bound_;
+  std::vector<Scale> scales_;
+  std::vector<util::PooledBuf<Dist>> wq_;
+  std::vector<std::unique_ptr<std::once_flag>> wq_once_;
+  bool fast_enabled_ = true;
+  int nthreads_ = 1;
+  std::vector<Worker> workers_;
+  std::vector<SweepOutcome> outcomes0_;
+};
+
+}  // namespace
+
+SourceDetectionStats source_detection_stream(
+    const graph::WeightedGraph& g, const std::vector<Vertex>& sources,
+    std::int64_t hop_bound, const util::Epsilon& eps, int bfs_height,
+    int threads, const SourceRowSink& sink) {
+  Detector det(g, sources, hop_bound, eps, threads);
+  const auto n = static_cast<std::size_t>(g.n());
+  util::parallel_for(det.nthreads(), sources.size(),
+                     [&](int t, std::size_t si) {
+                       Detector::Worker& w = det.worker(t);
+                       det.full_row(si, w);
+                       sink(static_cast<int>(si), {w.row_d.data(), n},
+                            {w.row_p.data(), n});
+                     });
+  SourceDetectionStats out;
+  det.fold(bfs_height, out);
+  return out;
+}
+
+ClusterDetectionStats cluster_detection_stream(
+    const graph::WeightedGraph& g, const std::vector<Vertex>& sources,
+    std::int64_t hop_bound, const util::Epsilon& eps, int bfs_height,
+    int threads, std::span<const Dist> join_bound, const ClusterSink& sink) {
+  const auto n = static_cast<std::size_t>(g.n());
+  NORS_CHECK(join_bound.size() == n);
+  Detector det(g, sources, hop_bound, eps, threads);
+  const Dist cap = det.first_exact_cap();
+  const bool prune = det.fast_enabled() && cap >= 0;
+  util::parallel_for(det.nthreads(), sources.size(), [&](int t,
+                                                         std::size_t si) {
+    Detector::Worker& w = det.worker(t);
+    const Vertex u = sources[si];
+    if (prune && si != 0) {
+      if (run_pruned(g, u, hop_bound, cap, join_bound.data(), *w.fast,
+                     w.members, w.settled)) {
+        ++w.pruned;
+        sink(static_cast<int>(si), w.members);
+        return;
+      }
+      ++w.fallback;
+    }
+    // Full stream, then the join filter over the finished row.
+    det.full_row(si, w);
+    w.settled += static_cast<std::int64_t>(n);
+    w.members.clear();
+    const Dist* row_d = w.row_d.data();
+    const std::int32_t* row_p = w.row_p.data();
+    for (std::size_t v = 0; v < n; ++v) {
+      const Dist bv = row_d[v];
+      if (graph::is_inf(bv)) continue;
+      if (static_cast<Vertex>(v) != u && bv >= join_bound[v]) continue;
+      w.members.push_back({static_cast<Vertex>(v), bv, row_p[v]});
+    }
+    sink(static_cast<int>(si), w.members);
+  });
+  ClusterDetectionStats out;
+  det.fold(bfs_height, out);
+  for (const Detector::Worker& w : det.workers()) {
+    out.pruned_sources += w.pruned;
+    out.fallback_sources += w.fallback;
+    out.settled += w.settled;
   }
   return out;
 }

@@ -64,10 +64,61 @@ SourceDetectionStats source_detection_stream(
     std::int64_t hop_bound, const util::Epsilon& eps, int bfs_height,
     int threads, const SourceRowSink& sink);
 
+/// One cluster member found by cluster_detection_stream: b = the source
+/// detection value d_uv, port = p_u(v) (kNoPort at the source itself).
+struct DetectedMember {
+  graph::Vertex v = graph::kNoVertex;
+  graph::Dist b = graph::kDistInf;
+  std::int32_t port = graph::kNoPort;
+};
+
+/// Member consumer: called exactly once per source index with that source's
+/// members in ascending vertex order. Same concurrency contract as
+/// SourceRowSink.
+using ClusterSink =
+    std::function<void(int si, std::span<const DetectedMember> members)>;
+
+/// round_cost and the scale counts are the full stream's; max_iterations
+/// covers the sources that ran it.
+struct ClusterDetectionStats : SourceDetectionStats {
+  std::int64_t pruned_sources = 0;    // answered by the join-pruned sweep
+  std::int64_t fallback_sources = 0;  // pruned sweep failed → full stream
+  /// Vertices the pruned sweeps settled, plus n per source that ran the
+  /// full stream (its row covers every vertex). |S|·n when nothing prunes.
+  std::int64_t settled = 0;
+};
+
+/// Source detection restricted to the clusters it feeds (§3.2 middle level):
+/// source u's members are u itself and every v with d_uv < join_bound[v].
+/// The sink sees exactly what filtering source_detection_stream's rows by
+/// that predicate would give — same members, b values and ports — and the
+/// round charge is the full stream's, but most sources never build a row.
+///
+/// Sound when join_bound[v] is the exact d(v, A) for some vertex set A
+/// (the exact pivots of level ⌈k/2⌉): members are then closed under
+/// shortest-path prefixes — for a predecessor x of member v,
+/// d(u,x) = d(u,v) − d(x,v) < d(v,A) − d(x,v) ≤ d(x,A) — so a Dial sweep
+/// that relaxes edges only out of members settles every member at its exact
+/// distance, committed layer and first-writer port, and never looks past
+/// the members' neighbors. Those are the full stream's values exactly while
+/// every member lies inside the first scale's window (distance ≤ 1 + B,
+/// layer ≤ B): the first scale then commits them and no later scale can
+/// improve on them. A source whose pruned sweep meets a member past the
+/// window or the hop bound — a below-bound offer past the window names one
+/// unless it settles inside — reruns through the full stream (per-source
+/// fallback). Source 0 always runs the full stream: its whole-graph layer
+/// counts set the round charge |S| + min(B, layers) + 2·D per scale.
+/// NORS_SD_DISABLE_FAST=1 sends every source through the full stream.
+ClusterDetectionStats cluster_detection_stream(
+    const graph::WeightedGraph& g, const std::vector<graph::Vertex>& sources,
+    std::int64_t hop_bound, const util::Epsilon& eps, int bfs_height,
+    int threads, std::span<const graph::Dist> join_bound,
+    const ClusterSink& sink);
+
 /// Slab-materializing result of source_detection() below — kept for callers
 /// that genuinely need all-pairs access (the §3.3.1 preprocessing, whose
 /// |V'| is Õ(n^{1/2}) at most). The construction's middle levels consume
-/// rows through source_detection_stream instead.
+/// members through cluster_detection_stream instead.
 struct SourceDetectionResult {
   std::vector<graph::Vertex> sources;
   std::unordered_map<graph::Vertex, int> source_index;

@@ -556,53 +556,50 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
   }
 
   // Remark-3 schedule verification: each subtree broadcast occupies its
-  // edges at stage start(w)+depth(edge); count collisions per (edge, stage).
-  // The per-tree structure (BFS order, subtree roots, depths) came out of
-  // the builds above; an attempt only redraws the start stages.
+  // edges at stage start(w)+depth(edge); an attempt fails when more than
+  // alpha broadcasts share one (edge, stage). Every forest edge is the
+  // (child, parent) pair of a non-subtree-root position — the same child
+  // vertex can hang off different parents in different trees — so the
+  // edges are grouped by child vertex in a CSR built once (the per-tree
+  // structure came out of the builds above). An attempt only redraws the
+  // start stages, writes each edge's (parent, stage) key into its child's
+  // run, and sorts the runs that could collide at all: a collision is a
+  // run of more than alpha equal keys, and a run is at most the child's
+  // overlap long.
   const std::int64_t ln_n = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::log(std::max(2, n))));
   std::int64_t range = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::sqrt(static_cast<double>(n) *
                                              out.max_overlap)) *
              ln_n);
-  std::int64_t stages = 0;
-  // Open-addressed (edge, stage) collision counter: exact keys with linear
-  // probing over a power-of-two table at ≤ 50% load — the verifier inserts
-  // one key per forest edge per attempt, so probe cost dominates, not
-  // rehash/allocation (this loop used to be the batch's hash hotspot).
-  struct LoadSlot {
-    std::int64_t edge = 0;  // (child << 32) | parent; 0 is impossible
-    std::int64_t stage = 0;
-    std::int32_t cnt = 0;
-  };
-  std::size_t total_edges = 0;
-  for (const TreeSchedule& ts : sched) total_edges += ts.order.size();
-  std::size_t table_sz = 64;
-  while (table_sz < 2 * total_edges + 1) table_sz *= 2;
-  std::vector<LoadSlot> load(table_sz);
-  const auto probe_count = [&](std::int64_t edge, std::int64_t stage) {
-    std::uint64_t h = static_cast<std::uint64_t>(edge) * 0x9E3779B97F4A7C15ull;
-    h ^= static_cast<std::uint64_t>(stage) + 0x9E3779B97F4A7C15ull +
-         (h << 6) + (h >> 2);
-    std::size_t at = static_cast<std::size_t>(h) & (table_sz - 1);
-    for (;;) {
-      LoadSlot& s = load[at];
-      if (s.cnt == 0) {
-        s.edge = edge;
-        s.stage = stage;
-        s.cnt = 1;
-        return 1;
-      }
-      if (s.edge == edge && s.stage == stage) return ++s.cnt;
-      at = (at + 1) & (table_sz - 1);
+  struct EdgeKey {
+    std::int64_t stage;
+    Vertex parent;
+    bool operator<(const EdgeKey& o) const {
+      return parent != o.parent ? parent < o.parent : stage < o.stage;
     }
+    bool operator==(const EdgeKey& o) const = default;
   };
+  std::vector<std::size_t> key_off(static_cast<std::size_t>(n) + 1, 0);
+  for (const TreeSchedule& ts : sched) {
+    for (std::size_t i = 0; i < ts.order.size(); ++i) {
+      if (ts.w_pos[i] != static_cast<int>(i)) {
+        ++key_off[static_cast<std::size_t>(ts.order[i]) + 1];
+      }
+    }
+  }
+  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+    key_off[v + 1] += key_off[v];
+  }
+  std::vector<EdgeKey> keys(key_off[static_cast<std::size_t>(n)]);
+  std::vector<std::size_t> cursor;
   std::vector<std::int64_t> start;
+  std::int64_t stages = 0;
   for (int attempt = 0;; ++attempt) {
     NORS_CHECK_MSG(attempt < 20, "staged schedule failed to decongest");
-    if (attempt > 0) std::fill(load.begin(), load.end(), LoadSlot{});
-    bool ok = true;
+    out.schedule_attempts = attempt + 1;
     stages = 0;
+    cursor.assign(key_off.begin(), key_off.end() - 1);
     util::Rng sched_rng = rng.fork(static_cast<std::uint64_t>(attempt) + 99);
     for (const TreeSchedule& ts : sched) {
       const std::size_t sz = ts.order.size();
@@ -612,28 +609,32 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
           start[i] = static_cast<std::int64_t>(
               sched_rng.uniform(static_cast<std::uint64_t>(range)));
         } else {
-          const Vertex v = ts.order[i];
-          const Vertex p =
-              ts.order[static_cast<std::size_t>(ts.parent_pos[i])];
           const std::int64_t stage =
               start[static_cast<std::size_t>(ts.w_pos[i])] + ts.depth[i];
           stages = std::max(stages, stage + 1);
-          // Edge identity: (child, parent) — the same child vertex can hang
-          // off different parents in different trees.
-          const std::int64_t edge =
-              (static_cast<std::int64_t>(v) << 32) |
-              static_cast<std::uint32_t>(p);
-          if (probe_count(edge, stage) > params.alpha) {
-            ok = false;
-            break;
-          }
+          keys[cursor[static_cast<std::size_t>(ts.order[i])]++] = {
+              stage, ts.order[static_cast<std::size_t>(ts.parent_pos[i])]};
         }
       }
-      if (!ok) break;
+    }
+    bool ok = true;
+    const auto alpha = static_cast<std::size_t>(std::max(0, params.alpha));
+    for (std::size_t v = 0; v < static_cast<std::size_t>(n) && ok; ++v) {
+      if (key_off[v + 1] - key_off[v] <= alpha) continue;
+      const auto first = keys.begin() + static_cast<std::ptrdiff_t>(key_off[v]);
+      const auto last =
+          keys.begin() + static_cast<std::ptrdiff_t>(key_off[v + 1]);
+      std::sort(first, last);
+      std::size_t run = 0;
+      for (auto it = first; it != last && ok; ++it) {
+        run = it != first && *it == it[-1] ? run + 1 : 1;
+        ok = run <= alpha;
+      }
     }
     if (ok) break;
     range *= 2;
   }
+  out.stages = stages;
 
   // Phases 0+1 (start-time dissemination, size convergecast, parallel DFS,
   // local label distribution): four staged passes, the label pass carrying

@@ -214,6 +214,10 @@ struct DistTreeBatch {
   int max_subtree_depth = 0;
   std::int64_t u_total = 0;
   int max_overlap = 0;  // s: max #trees sharing a vertex
+  /// Remark-3 staged schedule: stages used and start-stage draws tried
+  /// until no (edge, stage) carried more than alpha broadcasts.
+  std::int64_t stages = 0;
+  int schedule_attempts = 0;
 };
 
 /// `specs` is consumed: each spec's storage is released as soon as its tree

@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-// Thread-count resolution and the shared worker-pool shape for the opt-in
+// Thread-count resolution and the shared worker-pool shape for the
 // construction thread pools. Every parallel phase in this library is
 // deterministic by construction (workers own disjoint output slots; folds
 // over worker results run serially in a fixed order), so the pool size

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "congest/ledger.h"
 #include "congest/network.h"
 #include "graph/generators.h"
@@ -326,6 +328,58 @@ TEST(Network, ThreadedRunMatchesSerial) {
   for (std::size_t v = 0; v < s1.depth_.size(); ++v) {
     EXPECT_EQ(s1.depth_[v], serial_tree.depth[v]) << "v=" << v;
   }
+}
+
+TEST(Network, LargeRoundsRunOnThePoolAndMatchSerial) {
+  // Rounds scheduling at least kMinParallelVertices vertices are chunked
+  // across the workers (smaller ones run inline): a flood over a graph whose
+  // BFS frontier outgrows the threshold must see several worker ids and
+  // still reproduce the serial run exactly.
+  util::Rng rng(34);
+  const auto g =
+      graph::connected_gnm(6000, 24000, graph::WeightSpec::uniform(1, 9), rng);
+
+  class Flood : public congest::NodeProgram {
+   public:
+    explicit Flood(int n)
+        : hop_(static_cast<std::size_t>(n), -1),
+          worker_(static_cast<std::size_t>(n), -1) {}
+    void begin(congest::Network& net) override {
+      hop_[0] = 0;
+      net.wake(0);
+    }
+    void on_round(Vertex v, MessageView inbox, congest::Sender& out) override {
+      const auto vi = static_cast<std::size_t>(v);
+      worker_[vi] = std::max(worker_[vi], out.worker());
+      if (v == 0) {
+        if (!started_) out.send_all(Message::make(0, {0}));
+        started_ = true;
+        return;
+      }
+      if (hop_[vi] != -1) return;
+      for (const auto& m : inbox) {
+        if (hop_[vi] == -1 || m.w[0] + 1 < hop_[vi]) {
+          hop_[vi] = static_cast<int>(m.w[0]) + 1;
+        }
+      }
+      out.send_all(Message::make(0, {hop_[vi]}));
+    }
+    std::vector<int> hop_, worker_;
+    bool started_ = false;  // written only by vertex 0's handler
+  };
+
+  Flood s1(g.n()), s4(g.n());
+  congest::Network n1(g, {.threads = 1});
+  congest::Network n4(g, {.threads = 4});
+  const auto stats1 = n1.run(s1);
+  const auto stats4 = n4.run(s4);
+  EXPECT_EQ(stats1.rounds, stats4.rounds);
+  EXPECT_EQ(stats1.messages_sent, stats4.messages_sent);
+  EXPECT_EQ(stats1.messages_delivered, stats4.messages_delivered);
+  EXPECT_EQ(stats1.max_link_backlog, stats4.max_link_backlog);
+  EXPECT_EQ(s1.hop_, s4.hop_);
+  EXPECT_EQ(*std::max_element(s1.worker_.begin(), s1.worker_.end()), 0);
+  EXPECT_EQ(*std::max_element(s4.worker_.begin(), s4.worker_.end()), 3);
 }
 
 TEST(Ledger, MergeAndTotals) {

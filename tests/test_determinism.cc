@@ -136,6 +136,84 @@ TEST(GoldenRounds, MatchesCommittedRoundsScalingSnapshot) {
   }
 }
 
+// FNV-1a 64 over `len` bytes, continuing from state `h`.
+std::uint64_t fnv1a(const void* data, std::size_t len,
+                    std::uint64_t h = 1469598103934665603ull) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t ledger_digest(const congest::RoundLedger& l) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const auto& e : l.entries()) {
+    const auto kind = static_cast<std::int32_t>(e.kind);
+    h = fnv1a(e.phase.data(), e.phase.size() + 1, h);  // incl. terminator
+    h = fnv1a(&kind, sizeof kind, h);
+    h = fnv1a(&e.rounds, sizeof e.rounds, h);
+    h = fnv1a(&e.messages, sizeof e.messages, h);
+    h = fnv1a(e.note.data(), e.note.size() + 1, h);
+  }
+  return h;
+}
+
+// Golden image and ledger digests, recorded on the construction that ran a
+// full source-detection row per middle-level root. The pool-size suite
+// above only compares builds of one tree with each other, so a construction
+// change that drifts identically at every pool size passes it; these pins
+// do not. hit_constant 4 keeps every middle-level cluster inside the first
+// detection scale (the join-pruned sweep answers), 0.1 pushes members past
+// it (the per-source fallback through the full stream answers). Update the
+// values ONLY alongside a deliberate, documented change to what
+// construction outputs.
+TEST(GoldenImages, FrozenImageAndLedgerDigestsArePinned) {
+  struct Row {
+    int family;
+    int k;
+    double hit_constant;
+    std::uint64_t image;
+    std::uint64_t ledger;
+  };
+  const Row rows[] = {
+      {0, 3, 4.0, 0x96b2110f631dfd2full, 0xf124f1e8c086650cull},
+      {0, 3, 0.1, 0x96b2110f631dfd2full, 0x798102e5712bf731ull},
+      {0, 5, 4.0, 0x593f4f3a616b4732ull, 0x720de9154f8c48aull},
+      {0, 5, 0.1, 0x593f4f3a616b4732ull, 0x2a9f693c6b2f8d8ull},
+      {1, 3, 4.0, 0xf5f5a2f889e6e847ull, 0xed41f80aaeb2b902ull},
+      {1, 3, 0.1, 0xf5f5a2f889e6e847ull, 0xfae2efe0318515d4ull},
+      {1, 5, 4.0, 0xc7e301464cd2f82bull, 0x1a44af3c8aa8a091ull},
+      {1, 5, 0.1, 0x1b359476947ed220ull, 0x22129cc5ffda4f00ull},
+      {2, 3, 4.0, 0x35530617b3a86059ull, 0xcaccf2efaab040c8ull},
+      {2, 3, 0.1, 0x35530617b3a86059ull, 0x8aeb3c48683a1f0full},
+      {2, 5, 4.0, 0xffee03461643939full, 0x3501c7c83508757full},
+      {2, 5, 0.1, 0xffee03461643939full, 0x73325b4f1ab4965bull},
+  };
+  for (const Row& row : rows) {
+    const auto g = make_graph(row.family, 700 + static_cast<std::uint64_t>(
+                                                    row.family));
+    core::SchemeParams p;
+    p.k = row.k;
+    p.seed = 31;
+    p.hit_constant = row.hit_constant;
+    p.max_b_retries = 10;
+    const auto s = core::RoutingScheme::build(g, p);
+    const auto bytes = serve::FrozenScheme::freeze(s).save();
+    const std::uint64_t image = fnv1a(bytes.data(), bytes.size());
+    const std::uint64_t ledger = ledger_digest(s.ledger());
+    EXPECT_EQ(image, row.image)
+        << "family=" << row.family << " k=" << row.k
+        << " hit=" << row.hit_constant << " image=0x" << std::hex << image
+        << "ull ledger=0x" << ledger << "ull";
+    EXPECT_EQ(ledger, row.ledger)
+        << "family=" << row.family << " k=" << row.k
+        << " hit=" << row.hit_constant << " ledger=0x" << std::hex << ledger
+        << "ull";
+  }
+}
+
 TEST(ThreadedDeterminism, CoverageRetryPathIsPoolSizeInvariant) {
   // The doubled-hop-bound retry loop (RoutingScheme::build) interacts with
   // every threaded phase: force it deterministically with a high-hop-

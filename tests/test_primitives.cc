@@ -147,6 +147,39 @@ TEST(ClusterBf, ComputesExactClustersUnderLimit) {
   }
 }
 
+TEST(ClusterBf, PoolSizeNeverChangesTheResult) {
+  // Level-0 clusters run their simulated rounds on the pool: per-worker
+  // entry arenas and vertex-ordered outbox merges must leave the CSR
+  // result, rounds and messages exactly as the serial run has them. The
+  // graph is large enough that the busy rounds clear the engine's inline
+  // threshold and really run on the workers.
+  util::Rng rng(38);
+  const auto g =
+      graph::connected_gnm(5000, 15000, graph::WeightSpec::uniform(1, 12), rng);
+  const auto h = primitives::Hierarchy::sample(g.n(), 3, rng);
+  const auto lim = graph::multi_source_dijkstra(g, h.set_at(1));
+  const auto admit = [&](Vertex v, Vertex, Dist b) {
+    return b < lim.dist[static_cast<std::size_t>(v)];
+  };
+  const auto roots = h.exactly_at(0);
+  const auto serial =
+      primitives::distributed_cluster_bellman_ford(g, roots, admit, 1, 1);
+  const auto pooled =
+      primitives::distributed_cluster_bellman_ford(g, roots, admit, 1, 4);
+  EXPECT_EQ(serial.rounds, pooled.rounds);
+  EXPECT_EQ(serial.messages, pooled.messages);
+  EXPECT_EQ(serial.max_link_backlog, pooled.max_link_backlog);
+  EXPECT_EQ(serial.off, pooled.off);
+  EXPECT_EQ(serial.slot, pooled.slot);
+  ASSERT_EQ(serial.rec.size(), pooled.rec.size());
+  for (std::size_t e = 0; e < serial.rec.size(); ++e) {
+    EXPECT_EQ(serial.rec[e].dist, pooled.rec[e].dist) << "e=" << e;
+    EXPECT_EQ(serial.rec[e].parent, pooled.rec[e].parent) << "e=" << e;
+    EXPECT_EQ(serial.rec[e].parent_port, pooled.rec[e].parent_port)
+        << "e=" << e;
+  }
+}
+
 TEST(SourceDetection, DialFastPathBitIdenticalToReferenceSweep) {
   // The exact-scale fast path (Dial Dijkstra + first-writer reconstruction)
   // is *defined* as bit-identical to the reference Bellman–Ford sweep —
@@ -192,6 +225,122 @@ TEST(SourceDetection, DialFastPathBitIdenticalToReferenceSweep) {
     EXPECT_EQ(ref.round_cost, threaded.round_cost) << "seed=" << r.seed;
     EXPECT_EQ(ref.max_iterations, threaded.max_iterations)
         << "seed=" << r.seed;
+  }
+}
+
+TEST(ClusterDetection, JoinPrunedSweepsMatchFilteredFullRows) {
+  // cluster_detection_stream must hand out exactly what filtering the full
+  // source-detection rows by the join predicate gives — members, b values,
+  // ports (and so parents) — with the same round charge, for any pool
+  // size. The join bound is the exact distance to a sampled set A, as at
+  // the middle level. A generous hop bound lets most sources prune; small
+  // ones push members past the first scale's window and force the
+  // per-source fallback, so both paths are checked against the reference.
+  // The settle bound pins the pruning itself: a pruned sweep touches only
+  // the exact members and their neighbors.
+  for (int family = 0; family < 4; ++family) {
+    util::Rng rng(4100 + static_cast<std::uint64_t>(family));
+    const graph::WeightedGraph g = [&] {
+      switch (family) {
+        case 0:
+          return graph::connected_gnm(400, 900,
+                                      graph::WeightSpec::uniform(1, 12), rng);
+        case 1:
+          return graph::torus(18, 20, graph::WeightSpec::uniform(1, 9), rng);
+        case 2:
+          return graph::clustered(380, 5, 0.3, 40,
+                                  graph::WeightSpec::uniform(1, 12), rng);
+        default:
+          return graph::path(300, graph::WeightSpec::uniform(1, 8), rng);
+      }
+    }();
+    const int n = g.n();
+    std::vector<Vertex> a_set, sources;
+    for (Vertex v = 0; v < n; ++v) {
+      if (rng.bernoulli(0.04)) {
+        a_set.push_back(v);
+      } else if (rng.bernoulli(0.3)) {
+        sources.push_back(v);
+      }
+    }
+    ASSERT_FALSE(a_set.empty());
+    ASSERT_GE(sources.size(), 8u);
+    const std::vector<Dist> bound = graph::multi_source_dijkstra(g, a_set).dist;
+    // Exact members and their closed neighborhoods (the settle bound).
+    std::int64_t reach = 0;
+    for (const Vertex u : sources) {
+      const auto exact = graph::dijkstra(g, u);
+      std::vector<char> seen(static_cast<std::size_t>(n), 0);
+      for (Vertex v = 0; v < n; ++v) {
+        const auto vi = static_cast<std::size_t>(v);
+        if (v != u && exact.dist[vi] >= bound[vi]) continue;
+        seen[vi] = 1;
+        for (const auto& e : g.neighbors(v)) {
+          seen[static_cast<std::size_t>(e.to)] = 1;
+        }
+      }
+      for (const char c : seen) reach += c;
+    }
+    const util::Epsilon eps(1, 6);
+    std::int64_t pruned = 0, fallback = 0;
+    for (const std::int64_t hop_bound : {std::int64_t{n}, std::int64_t{24},
+                                         std::int64_t{6}, std::int64_t{2}}) {
+      const std::string where = "family=" + std::to_string(family) +
+                                " B=" + std::to_string(hop_bound);
+      std::vector<std::vector<primitives::DetectedMember>> want(
+          sources.size());
+      const auto full = primitives::source_detection_stream(
+          g, sources, hop_bound, eps, 5, 1,
+          [&](int si, std::span<const Dist> dist,
+              std::span<const std::int32_t> port) {
+            const Vertex u = sources[static_cast<std::size_t>(si)];
+            for (Vertex v = 0; v < n; ++v) {
+              const auto vi = static_cast<std::size_t>(v);
+              if (graph::is_inf(dist[vi])) continue;
+              if (v != u && dist[vi] >= bound[vi]) continue;
+              want[static_cast<std::size_t>(si)].push_back(
+                  {v, dist[vi], port[vi]});
+            }
+          });
+      for (const int threads : {1, 3}) {
+        std::vector<std::vector<primitives::DetectedMember>> got(
+            sources.size());
+        const auto stats = primitives::cluster_detection_stream(
+            g, sources, hop_bound, eps, 5, threads, bound,
+            [&](int si, std::span<const primitives::DetectedMember> m) {
+              got[static_cast<std::size_t>(si)].assign(m.begin(), m.end());
+            });
+        EXPECT_EQ(stats.round_cost, full.round_cost) << where;
+        EXPECT_EQ(stats.executed_scales, full.executed_scales) << where;
+        EXPECT_EQ(stats.pruned_sources + stats.fallback_sources + 1,
+                  static_cast<std::int64_t>(sources.size()))
+            << where;
+        // Pruned attempts (failed ones included) settle only exact members
+        // and their neighbors; full rows count n each (source 0 is one).
+        EXPECT_LE(stats.settled, reach + n * (1 + stats.fallback_sources))
+            << where;
+        for (std::size_t si = 0; si < sources.size(); ++si) {
+          ASSERT_EQ(got[si].size(), want[si].size())
+              << where << " source " << sources[si];
+          for (std::size_t j = 0; j < got[si].size(); ++j) {
+            const auto& a = got[si][j];
+            const auto& b = want[si][j];
+            EXPECT_EQ(a.v, b.v) << where;
+            EXPECT_EQ(a.b, b.b) << where << " v=" << b.v;
+            EXPECT_EQ(a.port, b.port) << where << " v=" << b.v;
+            if (b.v != sources[si]) {
+              EXPECT_EQ(g.edge(a.v, a.port).to, g.edge(b.v, b.port).to);
+            }
+          }
+        }
+        if (threads == 1) {
+          pruned += stats.pruned_sources;
+          fallback += stats.fallback_sources;
+        }
+      }
+    }
+    EXPECT_GT(pruned, 0) << "family=" << family;
+    EXPECT_GT(fallback, 0) << "family=" << family;
   }
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <tuple>
+
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
 #include "treeroute/dist_tree.h"
@@ -277,6 +281,81 @@ TEST(DistTreeBatch, BuildsAllTreesAndChargesRounds) {
     }
     EXPECT_EQ(len, graph::tree_distance(f.parent, f.dist_to_root, u, 60));
   }
+}
+
+TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
+  // The Remark-3 verifier retries the start-stage draw until no
+  // (edge, stage) pair carries more than alpha subtree broadcasts. A stage
+  // length of 1 over many overlapping SSSP trees forces retries; replay the
+  // batch's draws (the U sample, then one forked stream per attempt) and
+  // count every (child, parent, stage) in a std::map to pin the number of
+  // attempts and the stages of the accepted schedule.
+  util::Rng rng(301);
+  const auto g =
+      graph::connected_gnm(160, 360, graph::WeightSpec::uniform(1, 6), rng);
+  std::vector<treeroute::TreeSpec> specs;
+  for (Vertex root = 0; root < g.n(); root += 7) {
+    specs.push_back(sssp_tree(g, root).spec);
+  }
+  treeroute::DistTreeBatchParams params;
+  params.gamma = 8;
+  params.alpha = 1;
+  params.threads = 1;
+  util::Rng batch_rng(55);
+  const auto batch =
+      treeroute::build_dist_tree_batch(g, specs, params, 6, batch_rng);
+
+  const int n = g.n();
+  const auto s = static_cast<int>(specs.size());  // every tree spans V
+  ASSERT_EQ(batch.max_overlap, s);
+  util::Rng ref_rng(55);
+  std::vector<char> in_u(static_cast<std::size_t>(n), 0);
+  for (Vertex v = 0; v < n; ++v) {
+    in_u[static_cast<std::size_t>(v)] =
+        ref_rng.bernoulli(params.gamma / n) ? 1 : 0;
+  }
+  std::vector<treeroute::TreeSchedule> sched(specs.size());
+  treeroute::TreeBuildScratch scratch;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    treeroute::DistTreeScheme::build(g, specs[i], in_u, scratch, &sched[i]);
+  }
+  const std::int64_t ln_n =
+      static_cast<std::int64_t>(std::log(static_cast<double>(n)));
+  std::int64_t range =
+      static_cast<std::int64_t>(std::sqrt(static_cast<double>(n) * s)) * ln_n;
+  int attempts = 0;
+  std::int64_t stages = 0;
+  for (;; range *= 2) {
+    ASSERT_LT(attempts, 20);
+    util::Rng sched_rng = ref_rng.fork(static_cast<std::uint64_t>(attempts) +
+                                       99);
+    ++attempts;
+    std::map<std::tuple<Vertex, Vertex, std::int64_t>, int> load;
+    stages = 0;
+    for (const auto& ts : sched) {
+      std::vector<std::int64_t> start(ts.order.size(), 0);
+      for (std::size_t i = 0; i < ts.order.size(); ++i) {
+        if (ts.w_pos[i] == static_cast<int>(i)) {
+          start[i] = static_cast<std::int64_t>(
+              sched_rng.uniform(static_cast<std::uint64_t>(range)));
+          continue;
+        }
+        const std::int64_t stage =
+            start[static_cast<std::size_t>(ts.w_pos[i])] + ts.depth[i];
+        stages = std::max(stages, stage + 1);
+        ++load[{ts.order[i],
+                ts.order[static_cast<std::size_t>(ts.parent_pos[i])], stage}];
+      }
+    }
+    bool ok = true;
+    for (const auto& [key, cnt] : load) ok = ok && cnt <= params.alpha;
+    if (ok) break;
+  }
+  EXPECT_GT(attempts, 1);
+  EXPECT_EQ(batch.schedule_attempts, attempts);
+  EXPECT_EQ(batch.stages, stages);
+  EXPECT_EQ(batch.ledger.entries().front().note,
+            "alpha=1 stages=" + std::to_string(stages));
 }
 
 }  // namespace
