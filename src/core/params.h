@@ -35,9 +35,10 @@ struct SchemeParams {
   /// CONGEST per-edge capacity (1 = the standard model).
   int edge_capacity = 1;
 
-  /// Worker threads for construction: level-0 simulated rounds,
-  /// source-detection sweeps, large-level phase 2, tree sanitizing and the
-  /// Section-6 per-tree builds. 0 consults the NORS_THREADS environment
+  /// Worker threads for construction: the simulated rounds of the BFS
+  /// tree, exact pivots and level-0 clusters, source-detection sweeps,
+  /// large-level phase 2, tree sanitizing, the Section-6 per-tree builds
+  /// and serve::FrozenScheme::freeze. 0 consults the NORS_THREADS environment
   /// variable; 1 is serial. Every value yields bit-identical schemes,
   /// labels, round counts and ledgers — the pool only changes wall-clock
   /// (DESIGN.md §7.2).

@@ -32,7 +32,7 @@ PivotTable compute_exact_pivots(const graph::WeightedGraph& g,
   const int last = last_exact_pivot_level(k);
   for (int i = 1; i <= last; ++i) {
     const auto r = primitives::distributed_set_bellman_ford(
-        g, h.set_at(i), params.edge_capacity);
+        g, h.set_at(i), params.edge_capacity, params.threads);
     if (i < k) {
       t.exact[static_cast<std::size_t>(i)] = 1;
       for (graph::Vertex v = 0; v < n; ++v) {

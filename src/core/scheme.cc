@@ -54,7 +54,7 @@ RoutingScheme RoutingScheme::build(const graph::WeightedGraph& g,
 
   // Broadcast backbone: the paper assumes a BFS tree for Lemma-1 pipelines;
   // we build it for real and measure its rounds.
-  const auto bfs = primitives::distributed_bfs_tree(g, 0);
+  const auto bfs = primitives::distributed_bfs_tree(g, 0, params.threads);
   s.ledger_.add("infra/BFS tree", congest::CostKind::kSimulated,
                 bfs.construction_rounds, 0,
                 "height=" + std::to_string(bfs.height));

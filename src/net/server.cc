@@ -1318,7 +1318,14 @@ struct Server::Impl {
                                    (drain_seen || timers) ? 50 : -1);
       if (nev < 0 && errno == EINTR) continue;
 
-      // Mailbox first: adopt new sockets, finish completed batches.
+      // Mailbox first: adopt new sockets, finish completed batches. Clear
+      // the wake counter before taking the mail: a delivery that lands
+      // after the read re-arms the eventfd, so the next epoll_wait returns
+      // for it (reading after the swap would swallow that wake and strand
+      // the delivery in the mailbox until some unrelated event).
+      std::uint64_t tick = 0;
+      [[maybe_unused]] const auto r =
+          ::read(l.inbox->wakefd, &tick, sizeof(tick));
       std::vector<int> fds;
       std::vector<std::shared_ptr<Pending>> done;
       std::vector<std::pair<std::weak_ptr<Conn>, std::vector<std::uint8_t>>>
@@ -1329,9 +1336,9 @@ struct Server::Impl {
         done.swap(l.inbox->done);
         pushes.swap(l.inbox->push);
       }
-      std::uint64_t tick = 0;
-      [[maybe_unused]] const auto r =
-          ::read(l.inbox->wakefd, &tick, sizeof(tick));
+      // Chaos hook: delay-only, widens the window in which producers post
+      // mail the loop has not taken (they must re-arm the eventfd).
+      util::failpoint("net.mailbox");
       for (const int fd : fds) {
         if (draining.load(std::memory_order_relaxed)) {
           ::close(fd);

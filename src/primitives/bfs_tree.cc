@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <queue>
 
+#include "util/threads.h"
+
 namespace nors::primitives {
 
 namespace {
@@ -11,7 +13,8 @@ using graph::Vertex;
 
 /// Flooding BFS: the root announces depth 0; every vertex adopts the first
 /// announcement it hears (smallest sender id among the first round's
-/// arrivals, for determinism) and re-announces depth+1.
+/// arrivals, for determinism) and re-announces depth+1. A handler touches
+/// only v's slots (announced_ only at the root), so rounds may be pooled.
 class BfsProgram : public congest::NodeProgram {
  public:
   BfsProgram(int n, Vertex root) : root_(root) {
@@ -80,10 +83,11 @@ BfsTree finish(const graph::WeightedGraph& g, Vertex root,
 
 }  // namespace
 
-BfsTree distributed_bfs_tree(const graph::WeightedGraph& g, Vertex root) {
+BfsTree distributed_bfs_tree(const graph::WeightedGraph& g, Vertex root,
+                             int threads) {
   NORS_CHECK(g.valid_vertex(root));
   BfsProgram prog(g.n(), root);
-  congest::Network net(g, {});
+  congest::Network net(g, {.threads = util::resolve_threads(threads)});
   const congest::NetworkStats stats = net.run(prog);
   return finish(g, root, std::move(prog.parent_), std::move(prog.parent_port_),
                 std::move(prog.depth_), stats.rounds);

@@ -21,8 +21,10 @@ struct BfsTree {
 
 /// Builds a BFS tree by running the flooding algorithm on the CONGEST
 /// simulator (construction_rounds is the real measured count, Θ(D)).
+/// `threads` (util::resolve_threads) pools the simulated rounds; the tree
+/// is the same for any value.
 BfsTree distributed_bfs_tree(const graph::WeightedGraph& g,
-                             graph::Vertex root);
+                             graph::Vertex root, int threads = 1);
 
 /// Same tree shape computed centrally (for tests and for callers that have
 /// already paid for the tree).

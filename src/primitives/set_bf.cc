@@ -1,5 +1,7 @@
 #include "primitives/set_bf.h"
 
+#include "util/threads.h"
+
 namespace nors::primitives {
 
 namespace {
@@ -73,10 +75,11 @@ class SetBfProgram : public congest::NodeProgram {
 
 SetBfResult distributed_set_bellman_ford(const graph::WeightedGraph& g,
                                          const std::vector<Vertex>& set,
-                                         int edge_capacity) {
+                                         int edge_capacity, int threads) {
   NORS_CHECK_MSG(!set.empty(), "source set must be non-empty");
   SetBfProgram prog(g.n(), set);
-  congest::Network net(g, {.edge_capacity = edge_capacity});
+  congest::Network net(g, {.edge_capacity = edge_capacity,
+                           .threads = util::resolve_threads(threads)});
   prog.attach(net);
   const auto stats = net.run(prog);
   SetBfResult r;

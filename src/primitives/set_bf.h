@@ -25,8 +25,11 @@ struct SetBfResult {
   std::int64_t messages = 0;
 };
 
+/// `threads` (util::resolve_threads) pools the simulated rounds; the
+/// result is the same for any value.
 SetBfResult distributed_set_bellman_ford(const graph::WeightedGraph& g,
                                          const std::vector<graph::Vertex>& set,
-                                         int edge_capacity = 1);
+                                         int edge_capacity = 1,
+                                         int threads = 1);
 
 }  // namespace nors::primitives

@@ -21,6 +21,7 @@
 
 #include "core/serialize.h"
 #include "util/failpoint.h"
+#include "util/threads.h"
 
 namespace nors::serve {
 
@@ -692,32 +693,69 @@ FrozenScheme FrozenScheme::freeze(const core::RoutingScheme& scheme) {
   // turns lengths into light offsets; pass 2 fills the slots and copies
   // their lights. Every DFS-interval field provably fits int32 (clocks
   // are bounded by the tree size ≤ n), checked as it lands.
-  st.table_off.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (const auto& t : trees) {
-    for (Vertex v : t.members) ++st.table_off[static_cast<std::size_t>(v) + 1];
-  }
-  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
-    st.table_off[v + 1] += st.table_off[v];
-  }
-  const auto slots = static_cast<std::size_t>(st.table_off.back());
-  NORS_CHECK_MSG(slots < 0x7fffffff, "table slab index overflow");
-  st.tables.resize(slots);
-  st.table_tree.resize(slots);
-  std::vector<std::int64_t> cursor(st.table_off.begin(),
-                                   st.table_off.end() - 1);
-  for (std::size_t ti = 0; ti < trees.size(); ++ti) {
-    const auto& ts = scheme.tree_scheme(ti);
-    const auto& members = trees[ti].members;
-    NORS_CHECK_MSG(ts.members() == members,
-                   "tree scheme " << ti << " is not parallel to its tree");
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const auto slot = static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(members[i])]++);
-      st.table_tree[slot] = static_cast<std::int32_t>(ti);
-      st.tables[slot].heavy_light_len = static_cast<std::int32_t>(
-          ts.heavy_portal_label_at(i).light.size());
+  //
+  // Both passes run on a pool: worker c walks a contiguous chunk of trees
+  // (cut at equal membership counts) with its own cursors, which start at
+  // table_off[v] plus v's memberships in the earlier chunks — exactly
+  // where the serial walk's cursor stands when it reaches the chunk.
+  util::WorkerTeam team(std::min<int>(
+      util::resolve_threads(scheme.params().threads),
+      static_cast<int>(std::max<std::size_t>(1, trees.size()))));
+  const auto chunks = static_cast<std::size_t>(team.size());
+  std::size_t members_total = 0;
+  for (const auto& t : trees) members_total += t.members.size();
+  std::vector<std::size_t> chunk_lo(chunks + 1, trees.size());
+  chunk_lo[0] = 0;
+  {
+    std::size_t c = 1, seen = 0;
+    for (std::size_t ti = 0; ti < trees.size() && c < chunks; ++ti) {
+      while (c < chunks && seen * chunks >= members_total * c) {
+        chunk_lo[c++] = ti;
+      }
+      seen += trees[ti].members.size();
     }
   }
+  // cursor[c * n + v]: chunk c's count of v, then its cursor for v.
+  const auto nn = static_cast<std::size_t>(n);
+  std::vector<std::int32_t> cursor(chunks * nn, 0);
+  team.run([&](int c) {
+    std::int32_t* cnt = cursor.data() + static_cast<std::size_t>(c) * nn;
+    for (std::size_t ti = chunk_lo[static_cast<std::size_t>(c)];
+         ti < chunk_lo[static_cast<std::size_t>(c) + 1]; ++ti) {
+      for (Vertex v : trees[ti].members) ++cnt[static_cast<std::size_t>(v)];
+    }
+  });
+  st.table_off.assign(nn + 1, 0);
+  for (std::size_t v = 0; v < nn; ++v) {
+    std::int64_t at = st.table_off[v];
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::int32_t cnt = cursor[c * nn + v];
+      cursor[c * nn + v] = static_cast<std::int32_t>(at);
+      at += cnt;
+      NORS_CHECK_MSG(at < 0x7fffffff, "table slab index overflow");
+    }
+    st.table_off[v + 1] = at;
+  }
+  const auto slots = static_cast<std::size_t>(st.table_off.back());
+  st.tables.resize(slots);
+  st.table_tree.resize(slots);
+  team.run([&](int c) {
+    std::int32_t* cur = cursor.data() + static_cast<std::size_t>(c) * nn;
+    for (std::size_t ti = chunk_lo[static_cast<std::size_t>(c)];
+         ti < chunk_lo[static_cast<std::size_t>(c) + 1]; ++ti) {
+      const auto& ts = scheme.tree_scheme(ti);
+      const auto& members = trees[ti].members;
+      NORS_CHECK_MSG(ts.members() == members,
+                     "tree scheme " << ti << " is not parallel to its tree");
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const auto slot =
+            static_cast<std::size_t>(cur[static_cast<std::size_t>(members[i])]++);
+        st.table_tree[slot] = static_cast<std::int32_t>(ti);
+        st.tables[slot].heavy_light_len = static_cast<std::int32_t>(
+            ts.heavy_portal_label_at(i).light.size());
+      }
+    }
+  });
   for (auto& s : st.tables) {
     s.heavy_light_off = static_cast<std::int32_t>(light_total);
     light_total += static_cast<std::size_t>(s.heavy_light_len);
@@ -748,30 +786,41 @@ FrozenScheme FrozenScheme::freeze(const core::RoutingScheme& scheme) {
   st.hops.reserve(hop_total);
   st.tricks.reserve(trick_total);
 
+  // Pass 1 left chunk c's cursors where chunk c + 1's started: shift the
+  // rows up one to restart every chunk for pass 2.
+  std::copy_backward(cursor.begin(),
+                     cursor.end() - static_cast<std::ptrdiff_t>(nn),
+                     cursor.end());
   std::copy(st.table_off.begin(), st.table_off.end() - 1, cursor.begin());
-  for (std::size_t ti = 0; ti < trees.size(); ++ti) {
-    const auto& ts = scheme.tree_scheme(ti);
-    const auto& members = trees[ti].members;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const auto& info = ts.info_at(i);
-      const auto& heavy_label = ts.heavy_portal_label_at(i);
-      TableSlot& s = st.tables[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(members[i])]++)];
-      s.subtree_root = info.subtree_root;
-      s.local_a = narrow_i32(info.local.a);
-      s.local_b = narrow_i32(info.local.b);
-      s.parent_port = info.local.parent_port;
-      s.heavy_child_port = info.local.heavy_port;
-      s.a_prime = narrow_i32(info.a_prime);
-      s.b_prime = narrow_i32(info.b_prime);
-      s.heavy_prime = info.heavy_prime;
-      s.heavy_cross_port = info.heavy_port;
-      s.heavy_portal_a = narrow_i32(heavy_label.a);
-      s.up_port = info.up_port;
-      LightSlot* out = st.lights.data() + s.heavy_light_off;
-      for (const auto& [lv, lp] : heavy_label.light) *out++ = {lv, lp};
+  team.run([&](int c) {
+    std::int32_t* cur = cursor.data() + static_cast<std::size_t>(c) * nn;
+    for (std::size_t ti = chunk_lo[static_cast<std::size_t>(c)];
+         ti < chunk_lo[static_cast<std::size_t>(c) + 1]; ++ti) {
+      const auto& ts = scheme.tree_scheme(ti);
+      const auto& members = trees[ti].members;
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const auto& info = ts.info_at(i);
+        const auto& heavy_label = ts.heavy_portal_label_at(i);
+        TableSlot& s = st.tables[static_cast<std::size_t>(
+            cur[static_cast<std::size_t>(members[i])]++)];
+        s.subtree_root = info.subtree_root;
+        s.local_a = narrow_i32(info.local.a);
+        s.local_b = narrow_i32(info.local.b);
+        s.parent_port = info.local.parent_port;
+        s.heavy_child_port = info.local.heavy_port;
+        s.a_prime = narrow_i32(info.a_prime);
+        s.b_prime = narrow_i32(info.b_prime);
+        s.heavy_prime = info.heavy_prime;
+        s.heavy_cross_port = info.heavy_port;
+        s.heavy_portal_a = narrow_i32(heavy_label.a);
+        s.up_port = info.up_port;
+        LightSlot* out = st.lights.data() + s.heavy_light_off;
+        for (const auto& [lv, lp] : heavy_label.light) *out++ = {lv, lp};
+      }
     }
-  }
+  });
+  // The rest of freeze grows the image to its peak: drop the cursors first.
+  std::vector<std::int32_t>().swap(cursor);
 
   // Destination labels, flat stride-k (mirrors the live label arena).
   st.labels.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
@@ -805,12 +854,12 @@ FrozenScheme FrozenScheme::freeze(const core::RoutingScheme& scheme) {
       tr.tree = static_cast<std::int32_t>(scheme.tree_index(trees[ti].root));
       tr.off = static_cast<std::int64_t>(st.tricks.size());
       tr.len = static_cast<std::int64_t>(trees[ti].members.size());
-      for (Vertex v : trees[ti].members) {
+      const auto& ts = scheme.tree_scheme(ti);
+      for (std::size_t i = 0; i < trees[ti].members.size(); ++i) {
         TrickSlot s;
-        s.dest = v;
-        put_vlabel(scheme.tree_scheme(ti).label(v), s.a_prime, s.local_a,
-                   s.local_light_off, s.local_light_len, s.hop_off,
-                   s.hop_len);
+        s.dest = trees[ti].members[i];
+        put_vlabel(ts.label_at(i), s.a_prime, s.local_a, s.local_light_off,
+                   s.local_light_len, s.hop_off, s.hop_len);
         st.tricks.push_back(s);
       }
       st.trick_roots.push_back(tr);

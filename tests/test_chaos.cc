@@ -483,6 +483,65 @@ TEST(Chaos, OverloadShedsAndBackoffClientsCompleteExactly) {
       << "kOverloaded is shed load, not a protocol error";
 }
 
+TEST(Chaos, MailPostedWhileTheLoopTakesItsMailboxIsNeverStranded) {
+  // Every event-loop pass sleeps 2 ms just after taking its mailbox and
+  // every batch takes 1 ms, so with two clients on one loop, the acceptor
+  // (new sockets) and the shard workers (finished batches) keep posting
+  // mail while the loop sleeps on the other client's behalf. Each post
+  // must still wake the loop. The clients carry deadlines: stranded mail
+  // fails the test instead of hanging it.
+  const auto g = small_graph(137);
+  auto frozen = build_frozen(g, 2, 101);
+  const auto reference = serve::FrozenScheme::load(frozen.save());
+  const int n = reference.n();
+
+  net::NetServerOptions opt;
+  opt.loops = 1;
+  opt.shards = 2;
+  net::Server server(std::move(frozen), opt);
+  FailpointGuard fp("net.mailbox:delay:1:2,serve.batch:delay:1:1");
+  const auto trips_before = util::Failpoints::trips();
+
+  constexpr int kClients = 2;
+  constexpr int kCalls = 24;
+  constexpr std::size_t kPerCall = 16;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      try {
+        for (int call = 0; call < kCalls; ++call) {
+          // A fresh connection per call: each one is mail to the loop.
+          net::ClientOptions copt;
+          copt.host = "127.0.0.1";
+          copt.port = server.port();
+          copt.request_timeout_ms = 10000;
+          net::Client client(copt);
+          const auto qs = random_queries(
+              n, kPerCall, 700 + static_cast<unsigned>(c * kCalls + call));
+          const auto wire = client.route(qs);
+          if (wire.size() != qs.size()) {
+            ++failures;
+            return;
+          }
+          for (std::size_t i = 0; i < qs.size(); ++i) {
+            if (wire[i].length != reference.route(qs[i].u, qs[i].v).length) {
+              ++failures;
+            }
+          }
+        }
+      } catch (...) {
+        ++failures;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(util::Failpoints::trips(), trips_before);
+  EXPECT_EQ(server.stats().queries,
+            static_cast<std::int64_t>(kClients * kCalls * kPerCall));
+}
+
 TEST(Chaos, ForcedOverloadSurfacesTypedErrorWithHint) {
   const auto g = small_graph(109);
   auto frozen = build_frozen(g, 2, 67);

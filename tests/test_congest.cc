@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <string>
 
 #include "congest/ledger.h"
 #include "congest/network.h"
@@ -8,6 +11,7 @@
 #include "graph/properties.h"
 #include "primitives/bfs_tree.h"
 #include "primitives/pipelined.h"
+#include "util/threads.h"
 
 namespace nors {
 namespace {
@@ -380,6 +384,97 @@ TEST(Network, LargeRoundsRunOnThePoolAndMatchSerial) {
   EXPECT_EQ(s1.hop_, s4.hop_);
   EXPECT_EQ(*std::max_element(s1.worker_.begin(), s1.worker_.end()), 0);
   EXPECT_EQ(*std::max_element(s4.worker_.begin(), s4.worker_.end()), 3);
+}
+
+/// Floods with per-port bursts longer than the edge capacity (links keep
+/// backlogs for several rounds), re-wakes vertices both through wake_self
+/// and through Network::wake on another vertex, and logs a digest of every
+/// inbox each vertex sees, in order, one entry per execution.
+class BacklogMix : public congest::NodeProgram {
+ public:
+  explicit BacklogMix(int n)
+      : seen_(static_cast<std::size_t>(n), 0),
+        rewakes_(static_cast<std::size_t>(n), 0),
+        log_(static_cast<std::size_t>(n)) {}
+  void begin(congest::Network& net) override {
+    net_ = &net;
+    for (Vertex v = 0; v < net.graph().n(); v += 97) net.wake(v);
+  }
+  void on_round(Vertex v, MessageView inbox, congest::Sender& out) override {
+    const auto vi = static_cast<std::size_t>(v);
+    std::uint64_t h = 1469598103934665603ull ^ inbox.size();
+    for (const auto& m : inbox) {
+      for (const std::int64_t x :
+           {std::int64_t{m.from}, std::int64_t{m.arrival_port},
+            std::int64_t{m.tag}, m.w[0], m.w[1]}) {
+        h = (h ^ static_cast<std::uint64_t>(x)) * 1099511628211ull;
+      }
+      // A message whose sequence number is 0 mod 5 wakes its sender one
+      // more time, from this (another) vertex's handler.
+      if (m.w[1] % 5 == 0 && m.tag == 1) net_->wake(m.from);
+    }
+    log_[vi].push_back(h);
+    if (!seen_[vi]) {
+      seen_[vi] = 1;
+      // 1–3 messages per port: bursts beyond capacity 1 and 2.
+      const int burst = 1 + static_cast<int>(v % 3);
+      const int deg = net_->graph().degree(v);
+      for (int b = 0; b < burst; ++b) {
+        for (std::int32_t p = 0; p < deg; ++p) {
+          out.send(p, Message::make(1, {v, b * deg + p}));
+        }
+      }
+      rewakes_[vi] = static_cast<int>(v % 4);
+    } else if (inbox.empty() && rewakes_[vi] == 0) {
+      // Woken through Network::wake: answer once on port 0.
+      out.send(0, Message::make(2, {v, 1}));
+    }
+    if (rewakes_[vi] > 0) {
+      --rewakes_[vi];
+      out.wake_self();
+    }
+    if (out.worker() > 0) on_pool_.store(true, std::memory_order_relaxed);
+  }
+  congest::Network* net_ = nullptr;
+  std::vector<char> seen_;
+  std::vector<int> rewakes_;
+  std::vector<std::vector<std::uint64_t>> log_;
+  std::atomic<bool> on_pool_{false};  // some handler ran on worker > 0
+};
+
+TEST(Network, PooledBarrierMatchesSerialUnderBacklog) {
+  // Pool sizes are taken exactly, even above the hardware concurrency.
+  setenv("NORS_THREADS_OVERSUBSCRIBE", "1", 1);
+  util::Rng rng(35);
+  const auto g =
+      graph::connected_gnm(6000, 24000, graph::WeightSpec::uniform(1, 9), rng);
+  for (const int cap : {1, 2}) {
+    BacklogMix serial(g.n());
+    congest::Network n1(g, {.edge_capacity = cap, .threads = 1});
+    const auto s1 = n1.run(serial);
+    // Both sides of the pooling threshold: a large pooled middle, a small
+    // inline head and tail, and queues that outlive one round.
+    EXPECT_GT(s1.max_link_backlog, cap);
+    EXPECT_GT(s1.messages_delivered,
+              static_cast<std::int64_t>(
+                  4 * congest::Network::kMinParallelVertices));
+    for (const int threads : {1, 3, 4}) {
+      SCOPED_TRACE("cap=" + std::to_string(cap) +
+                   " threads=" + std::to_string(threads));
+      BacklogMix pooled(g.n());
+      congest::Network nt(
+          g, {.edge_capacity = cap, .threads = util::resolve_threads(threads)});
+      const auto st = nt.run(pooled);
+      EXPECT_EQ(st.rounds, s1.rounds);
+      EXPECT_EQ(st.messages_sent, s1.messages_sent);
+      EXPECT_EQ(st.messages_delivered, s1.messages_delivered);
+      EXPECT_EQ(st.max_link_backlog, s1.max_link_backlog);
+      EXPECT_EQ(pooled.on_pool_.load(), threads > 1);
+      for (std::size_t v = 0; v < serial.log_.size(); ++v) {
+        ASSERT_EQ(pooled.log_[v], serial.log_[v]) << "vertex " << v;
+      }
+    }
+  }
 }
 
 TEST(Ledger, MergeAndTotals) {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "core/scheme.h"
 #include "graph/generators.h"
 #include "serve/frozen.h"
@@ -240,6 +247,46 @@ TEST(ThreadedDeterminism, CoverageRetryPathIsPoolSizeInvariant) {
         << "threads=" << threads;
     expect_same_ledger(serial.ledger(), threaded.ledger());
   }
+}
+
+TEST(ThreadedDeterminism, FreezeAndSaveArePoolSizeInvariant) {
+  // freeze() fills the table slabs on a pool of the scheme's threads (here
+  // 0, so NORS_THREADS picks the size): one scheme frozen at pool sizes 1
+  // and 4 must give the same save() bytes, and save_file() must write
+  // exactly those bytes. At n = 2048 the image spans many of save_file()'s
+  // write buffers.
+  const char* prior = std::getenv("NORS_THREADS");
+  const std::string restore = prior == nullptr ? "" : prior;
+  util::Rng rng(6270);
+  const auto g = graph::connected_gnm(2048, 3 * 2048,
+                                      graph::WeightSpec::uniform(1, 16), rng);
+  core::SchemeParams p;
+  p.k = 3;
+  p.seed = 95;
+  p.threads = 0;
+  setenv("NORS_THREADS", "1", 1);
+  const auto s = core::RoutingScheme::build(g, p);
+  const std::string path =
+      ::testing::TempDir() + "/nors_determinism_save.bin";
+  std::vector<std::vector<std::uint8_t>> images;
+  for (const char* threads : {"1", "4"}) {
+    setenv("NORS_THREADS", threads, 1);
+    const auto f = serve::FrozenScheme::freeze(s);
+    images.push_back(f.save());
+    f.save_file(path);
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<std::uint8_t> file(
+        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    EXPECT_EQ(file, images.back()) << "threads=" << threads;
+  }
+  std::remove(path.c_str());
+  if (prior == nullptr) {
+    unsetenv("NORS_THREADS");
+  } else {
+    setenv("NORS_THREADS", restore.c_str(), 1);
+  }
+  ASSERT_GT(images[0].size(), std::size_t{1} << 20);
+  EXPECT_EQ(images[0], images[1]);
 }
 
 }  // namespace
