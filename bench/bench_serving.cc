@@ -1,8 +1,9 @@
 // Serving workload (DESIGN.md §5, §8): freeze a constructed scheme into
 // flat tables, then rate batched route(u, v) decision queries answered
 // purely from the frozen state — queries/sec and decisions/sec (one
-// decision = one next-hop port evaluation) across thread counts, cache
-// settings and shard counts, plus sampled per-query tail latency. The
+// decision = one next-hop port evaluation) single-threaded with and
+// without the table cache and across shard counts, plus per-query tail
+// latency. The
 // load path is measured three ways (owning load, zero-copy mmap, and the
 // sharded front-end over the mapped image); the Thorup–Zwick distance
 // oracle, frozen the same way, is the sequential-baseline row. The delta
@@ -13,8 +14,6 @@
 // answered while a link is failed, and the rate they are answered at.
 //
 // Runtime knobs (all recorded in the emitted JSON):
-//   --threads=T   max worker threads of the RouteServer sweep
-//                 (default: 2 × hardware concurrency)
 //   --shards=K    max shard count of the ShardedRouteServer sweep,
 //                 swept 1, 2, 4, ... K (default 4)
 //   --cache=C     (vertex, tree) cache entries per worker (default 4096)
@@ -35,8 +34,8 @@
 #include "serve/delta.h"
 #include "serve/frozen.h"
 #include "serve/frozen_tz.h"
-#include "serve/server.h"
 #include "serve/shard.h"
+#include "serve/table_cache.h"
 #include "tz/tz_oracle.h"
 #include "util/latency.h"
 
@@ -104,7 +103,6 @@ std::vector<std::vector<serve::EdgeUpdate>> churn_batches(
 
 /// --key=value flags; anything unrecognized aborts with usage.
 struct Flags {
-  int max_threads = 0;  // 0 = 2 × hardware concurrency
   int max_shards = 4;
   int cache = 4096;
   std::uint64_t seed = 9;
@@ -118,9 +116,7 @@ struct Flags {
         const std::size_t len = std::strlen(key);
         return a.compare(0, len, key) == 0 ? a.c_str() + len : nullptr;
       };
-      if (const char* v = val("--threads=")) {
-        f.max_threads = std::atoi(v);
-      } else if (const char* v = val("--shards=")) {
+      if (const char* v = val("--shards=")) {
         f.max_shards = std::atoi(v);
       } else if (const char* v = val("--cache=")) {
         f.cache = std::atoi(v);
@@ -130,8 +126,8 @@ struct Flags {
         f.queries = std::strtoull(v, nullptr, 10);
       } else {
         std::fprintf(stderr,
-                     "unknown flag %s\nusage: bench_serving [--threads=T] "
-                     "[--shards=K] [--cache=C] [--seed=S] [--queries=Q]\n",
+                     "unknown flag %s\nusage: bench_serving [--shards=K] "
+                     "[--cache=C] [--seed=S] [--queries=Q]\n",
                      a.c_str());
         std::exit(2);
       }
@@ -149,8 +145,6 @@ int main(int argc, char** argv) {
   const int n = bench::env_n(1 << 14);
   const int k = 3;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const int max_threads =
-      flags.max_threads > 0 ? flags.max_threads : static_cast<int>(2 * hw);
   bench::print_header("serving",
                       "frozen-table route decisions/sec, tail latency, "
                       "save/load/mmap round-trip, sharded front-end");
@@ -223,58 +217,62 @@ int main(int argc, char** argv) {
       .field("load_s", load_s)
       .field("map_s", map_s)
       .field("format_version", static_cast<std::int64_t>(
-                                   frozen.format_version()))
+                                   serve::FrozenScheme::format_version()))
       .field("roundtrip_identical", identical ? 1 : 0)
       .field("map_identical", map_identical ? 1 : 0)
       .field("spot_checked", spot_checked);
 
-  // ---- throughput across threads / cache --------------------------------
+  // ---- single-thread throughput, uncached and cached -------------------
+  // The pipelined batch engine on the calling thread over the owning-load
+  // snapshot: route_batch() for cache 0, route_batch_cached() with a
+  // TableCache of `cache` entries otherwise. Multi-core scaling is the
+  // sharded sweep's job below.
   const auto queries = make_queries(n, flags.queries, flags.seed);
   std::vector<serve::Decision> out(queries.size());
-  util::TextTable table({"threads", "cache", "queries/s", "decisions/s",
-                         "avg hops", "cache hit%", "wall s"});
+  util::TextTable table({"cache", "queries/s", "decisions/s", "avg hops",
+                         "cache hit%", "wall s"});
   std::vector<int> cache_settings{0};
   if (flags.cache != 0) cache_settings.push_back(flags.cache);
   for (const int cache : cache_settings) {
-    for (int threads = 1; threads <= max_threads; threads *= 2) {
-      serve::ServerOptions opt;
-      opt.threads = threads;
-      opt.cache_entries = cache;
-      const serve::RouteServer server(reloaded, opt);
-      bench::WallTimer t;
-      server.serve(queries.data(), queries.size(), out.data());
-      const double wall = t.seconds();
-      const auto stats = server.stats();
-      const double qps = static_cast<double>(queries.size()) / wall;
-      const double dps = static_cast<double>(stats.hops) / wall;
-      const double avg_hops = static_cast<double>(stats.hops) /
-                              static_cast<double>(queries.size());
-      const double hit_rate =
-          stats.cache_hits + stats.cache_misses == 0
-              ? 0.0
-              : 100.0 * static_cast<double>(stats.cache_hits) /
-                    static_cast<double>(stats.cache_hits + stats.cache_misses);
-      table.add_row({util::TextTable::fmt(static_cast<std::int64_t>(threads)),
-                     util::TextTable::fmt(static_cast<std::int64_t>(cache)),
-                     util::TextTable::fmt(qps, 0),
-                     util::TextTable::fmt(dps, 0),
-                     util::TextTable::fmt(avg_hops, 2),
-                     util::TextTable::fmt(hit_rate, 1),
-                     util::TextTable::fmt(wall, 3)});
-      report.row()
-          .field("row", std::string("serve"))
-          .field("n", n)
-          .field("k", k)
-          .field("seed", static_cast<std::int64_t>(flags.seed))
-          .field("threads", threads)
-          .field("cache_entries", cache)
-          .field("queries", static_cast<std::int64_t>(queries.size()))
-          .field("wall_s", wall)
-          .field("qps", qps)
-          .field("decisions_per_sec", dps)
-          .field("avg_hops", avg_hops)
-          .field("cache_hit_pct", hit_rate);
+    serve::BatchStats bs;
+    bench::WallTimer t;
+    if (cache == 0) {
+      reloaded.route_batch(queries.data(), queries.size(), out.data(), &bs);
+    } else {
+      serve::TableCache tc(reloaded, cache);
+      reloaded.route_batch_cached(queries.data(), queries.size(), out.data(),
+                                  tc, &bs);
     }
+    const double wall = t.seconds();
+    const double qps = static_cast<double>(queries.size()) / wall;
+    const double dps = static_cast<double>(bs.hops) / wall;
+    const double avg_hops = static_cast<double>(bs.hops) /
+                            static_cast<double>(queries.size());
+    // The uncached engine counts every slab search as a miss; report a
+    // hit rate only when a cache is configured.
+    const double hit_rate =
+        cache == 0 || bs.cache_hits + bs.cache_misses == 0
+            ? 0.0
+            : 100.0 * static_cast<double>(bs.cache_hits) /
+                  static_cast<double>(bs.cache_hits + bs.cache_misses);
+    table.add_row({util::TextTable::fmt(static_cast<std::int64_t>(cache)),
+                   util::TextTable::fmt(qps, 0), util::TextTable::fmt(dps, 0),
+                   util::TextTable::fmt(avg_hops, 2),
+                   util::TextTable::fmt(hit_rate, 1),
+                   util::TextTable::fmt(wall, 3)});
+    report.row()
+        .field("row", std::string("serve"))
+        .field("n", n)
+        .field("k", k)
+        .field("seed", static_cast<std::int64_t>(flags.seed))
+        .field("threads", 1)
+        .field("cache_entries", cache)
+        .field("queries", static_cast<std::int64_t>(queries.size()))
+        .field("wall_s", wall)
+        .field("qps", qps)
+        .field("decisions_per_sec", dps)
+        .field("avg_hops", avg_hops)
+        .field("cache_hit_pct", hit_rate);
   }
   std::printf("%s\n", table.render().c_str());
 

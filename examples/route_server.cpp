@@ -7,6 +7,8 @@
 //   $ ./examples/route_server
 //
 // The steps below are the whole serving life cycle (DESIGN.md §5, §8).
+// Every check the walkthrough prints is also its exit status: any "NO"
+// makes it return non-zero.
 
 #include <cstdio>
 
@@ -14,8 +16,8 @@
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
 #include "serve/frozen.h"
-#include "serve/server.h"
 #include "serve/shard.h"
+#include "serve/table_cache.h"
 
 int main() {
   using namespace nors;
@@ -51,29 +53,29 @@ int main() {
   //    table file.
   const auto tables = serve::FrozenScheme::load_file(path);
   const auto mapped = serve::FrozenScheme::map(path);
+  const auto image = frozen.save();
+  const bool reload_ok = tables.save() == image;
+  const bool map_ok = mapped.save() == image;
   std::printf("reloaded %s (byte-identical: %s; mmap byte-identical: %s)\n",
-              path.c_str(), tables.save() == frozen.save() ? "yes" : "NO",
-              mapped.save() == frozen.save() ? "yes" : "NO");
+              path.c_str(), reload_ok ? "yes" : "NO", map_ok ? "yes" : "NO");
 
-  // 5. Serve: batched decision queries, answered purely from the frozen
-  //    tables — here 2 worker threads with a small (vertex, tree) cache.
-  serve::ServerOptions opt;
-  opt.threads = 2;
-  opt.cache_entries = 1024;
-  const serve::RouteServer server(tables, opt);
+  // 5. Serve: a batch of decision queries, answered purely from the
+  //    frozen tables by the pipelined batch engine on this thread, with a
+  //    small (vertex, tree) lookup cache.
   std::vector<serve::Query> batch;
   util::Rng qrng(99);
   for (int i = 0; i < 10000; ++i) {
     batch.push_back({static_cast<graph::Vertex>(qrng.uniform(256)),
                      static_cast<graph::Vertex>(qrng.uniform(256))});
   }
-  std::vector<serve::Decision> answers;
-  server.serve(batch, answers);
-
-  const auto stats = server.stats();
+  std::vector<serve::Decision> answers(batch.size());
+  serve::TableCache cache(tables, 1024);
+  serve::BatchStats stats;
+  tables.route_batch_cached(batch.data(), batch.size(), answers.data(), cache,
+                            &stats);
   std::printf("served %lld queries, %lld next-hop decisions, "
               "cache hit rate %.1f%%\n",
-              static_cast<long long>(stats.queries),
+              static_cast<long long>(stats.completed),
               static_cast<long long>(stats.hops),
               100.0 * static_cast<double>(stats.cache_hits) /
                   static_cast<double>(stats.cache_hits + stats.cache_misses));
@@ -120,5 +122,5 @@ int main() {
   }
 
   std::remove(path.c_str());
-  return 0;
+  return reload_ok && map_ok && same ? 0 : 1;
 }

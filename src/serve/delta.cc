@@ -43,7 +43,7 @@ std::shared_ptr<const DeltaSet> DeltaSet::apply(
     out->override_count_ = prev->override_count_;
     out->seq_ = prev->seq_ + 1;
   } else {
-    out->slots_.assign(kMinSlots, Slot{});
+    out->slots_ = SlotTable(kMinSlots, Slot{});
     out->probe_mask_ = kMinSlots - 1;
     out->seq_ = 1;
   }
@@ -142,7 +142,7 @@ void DeltaSet::erase(std::int64_t key) {
 }
 
 void DeltaSet::rehash(std::size_t capacity) {
-  std::vector<Slot> old(capacity, Slot{});
+  SlotTable old(capacity, Slot{});
   old.swap(slots_);
   probe_mask_ = capacity - 1;
   for (const Slot& s : old) {

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -42,23 +41,19 @@ using graph::Vertex;
 // tag; load() rejects a foreign-endian image instead of byte-swapping (the
 // format is defined as little-endian — every platform this repo targets).
 //
-// Two format versions share this framing and differ only in the table
-// sections (between table_off and labels):
-//   v2: one section of fixed 80-byte TableSlotV2 records;
-//   v3: the i32 tree-key column as a raw section (zero-copy on map, SIMD-
-//       scannable in place), then the remaining slot fields as one
-//       delta/varint byte section — canonical LEB128+zigzag per field
-//       (core/serialize.h), interval widths and light-offset deltas instead
-//       of absolutes, so the section is a fraction of the v2 size.
-// Per version, save→load→save and save→map→save are byte-identical: the
-// varint codec is canonical (exactly one encoding per value) and every
-// transform below is bijective. Both loaders range-check the int64→int32
-// narrowing — DFS clocks are bounded by n, itself an int32, so legitimate
-// images always fit; a checksum-forged one is rejected.
+// The table slabs (between table_off and labels) take two sections: the
+// i32 tree-key column raw (zero-copy on map, SIMD-scannable in place),
+// then the remaining slot fields as one delta/varint byte section —
+// canonical LEB128+zigzag per field (core/serialize.h), interval widths
+// and light-offset deltas instead of absolutes. save→load→save and
+// save→map→save are byte-identical: the varint codec is canonical
+// (exactly one encoding per value) and every transform below is
+// bijective. Both loaders range-check the decoded int64→int32 narrowing —
+// DFS clocks are bounded by n, itself an int32, so legitimate images
+// always fit; a checksum-forged one is rejected.
 
 constexpr char kMagic[8] = {'N', 'O', 'R', 'S', 'F', 'R', 'Z', '1'};
-constexpr std::uint32_t kVersionV2 = 2;      // fixed 80-byte table slots
-constexpr std::uint32_t kVersionLatest = 3;  // split + varint table sections
+constexpr std::uint32_t kVersion = FrozenScheme::format_version();
 constexpr std::uint32_t kEndianTag = 0x01020304u;
 constexpr std::size_t kPreambleBytes =
     sizeof(kMagic) + 2 * sizeof(std::uint32_t);  // magic, version, endian
@@ -73,30 +68,6 @@ static_assert(alignof(FrozenScheme::TableSlot) <= 8);
 static_assert(alignof(FrozenScheme::LabelSlot) <= 8);
 static_assert(alignof(FrozenScheme::TrickRoot) <= 8);
 static_assert(alignof(FrozenScheme::TrickSlot) <= 8);
-
-/// The version-2 wire record of one table-slab entry: the in-memory packed
-/// TableSlot plus its tree key, with the five DFS-interval fields widened
-/// to int64 (the historical layout; kept so v2 images keep round-tripping
-/// byte-identically).
-struct TableSlotV2 {
-  std::int64_t local_a = 0;
-  std::int64_t local_b = 0;
-  std::int64_t a_prime = 0;
-  std::int64_t b_prime = 0;
-  std::int64_t heavy_portal_a = 0;
-  std::int32_t tree = -1;
-  std::int32_t subtree_root = graph::kNoVertex;
-  std::int32_t parent_port = graph::kNoPort;
-  std::int32_t heavy_child_port = graph::kNoPort;
-  std::int32_t heavy_prime = graph::kNoVertex;
-  std::int32_t heavy_cross_port = graph::kNoPort;
-  std::int32_t heavy_light_off = 0;
-  std::int32_t heavy_light_len = 0;
-  std::int32_t up_port = graph::kNoPort;
-  std::int32_t pad = 0;
-};
-static_assert(sizeof(TableSlotV2) == 80);
-static_assert(alignof(TableSlotV2) <= 8);
 
 /// Zero bytes needed after a payload of `len` bytes to reach the next
 /// 8-byte file offset (counts and payloads both start 8-aligned).
@@ -119,7 +90,7 @@ std::uint64_t fnv1a(const std::uint8_t* p, std::size_t len,
 // the writer on top folds every byte into the trailing checksum as it
 // passes, so no whole-image copy is ever staged (DESIGN.md §5.2).
 
-/// Appends to a byte vector (save(), save_as(), save_with_link_weights()).
+/// Appends to a byte vector (save(), save_with_link_weights()).
 struct VectorSink {
   std::vector<std::uint8_t>& out;
 
@@ -336,44 +307,19 @@ const std::uint8_t* decode_table_entry(const std::uint8_t* p,
 }
 
 /// Inflates a whole v3 varint section (`entries` comes from the tree-key
-/// column's count). The section must be consumed exactly.
-void decode_table_blob(const std::uint8_t* p, std::size_t len,
-                       std::size_t entries,
-                       std::vector<FrozenScheme::TableSlot>& out) {
+/// column's count). The section must be consumed exactly. Cache-line
+/// aligned: the branchy decode loop is most of map()'s time after the
+/// checksum, and it ran ~20% slower (n = 2^14: 45 → 55 ms) when unrelated
+/// code shifted its placement by 16 bytes.
+[[gnu::aligned(64)]] void decode_table_blob(
+    const std::uint8_t* p, std::size_t len, std::size_t entries,
+    std::vector<FrozenScheme::TableSlot>& out) {
   const std::uint8_t* end = p + len;
   out.resize(entries);
   std::int64_t prev_light_off = 0;
   for (auto& t : out) p = decode_table_entry(p, end, t, prev_light_off);
   NORS_CHECK_MSG(p == end,
                  "frozen-table varint section length mismatch");
-}
-
-/// v2 → packed: splits the wide records into the tree-key column and the
-/// int32 slot array, range-checking the narrowing.
-void unzip_tables(std::span<const TableSlotV2> wide,
-                  std::vector<std::int32_t>& keys,
-                  std::vector<FrozenScheme::TableSlot>& slots) {
-  keys.resize(wide.size());
-  slots.resize(wide.size());
-  for (std::size_t i = 0; i < wide.size(); ++i) {
-    const TableSlotV2& w = wide[i];
-    keys[i] = w.tree;
-    FrozenScheme::TableSlot& t = slots[i];
-    t.local_a = narrow_i32(w.local_a);
-    t.local_b = narrow_i32(w.local_b);
-    t.a_prime = narrow_i32(w.a_prime);
-    t.b_prime = narrow_i32(w.b_prime);
-    t.heavy_portal_a = narrow_i32(w.heavy_portal_a);
-    t.subtree_root = w.subtree_root;
-    t.parent_port = w.parent_port;
-    t.heavy_child_port = w.heavy_child_port;
-    t.heavy_prime = w.heavy_prime;
-    t.heavy_cross_port = w.heavy_cross_port;
-    t.heavy_light_off = w.heavy_light_off;
-    t.heavy_light_len = w.heavy_light_len;
-    t.up_port = w.up_port;
-    t.pad = 0;
-  }
 }
 
 /// Bounds-checked cursor core shared by both decode paths, so the owning
@@ -455,10 +401,8 @@ class ViewCursor : public CursorBase {
 };
 
 /// Shared header framing check; returns the payload limit (bytes before
-/// the trailing checksum) after verifying magic/version/endian/checksum,
-/// and reports which supported format version the image carries.
-std::size_t check_framing(const std::uint8_t* p, std::size_t size,
-                          std::uint32_t& version_out) {
+/// the trailing checksum) after verifying magic/version/endian/checksum.
+std::size_t check_framing(const std::uint8_t* p, std::size_t size) {
   NORS_CHECK_MSG(size >= kHeaderBytes + sizeof(std::uint64_t),
                  "frozen-table image too short for a header");
   NORS_CHECK_MSG(std::memcmp(p, kMagic, sizeof(kMagic)) == 0,
@@ -466,7 +410,7 @@ std::size_t check_framing(const std::uint8_t* p, std::size_t size,
   std::uint32_t version = 0, endian = 0;
   std::memcpy(&version, p + sizeof(kMagic), sizeof(version));
   std::memcpy(&endian, p + sizeof(kMagic) + sizeof(version), sizeof(endian));
-  NORS_CHECK_MSG(version == kVersionV2 || version == kVersionLatest,
+  NORS_CHECK_MSG(version == kVersion,
                  "unsupported frozen-table version " << version);
   NORS_CHECK_MSG(endian == kEndianTag,
                  "endianness mismatch: image written on a foreign-endian "
@@ -475,7 +419,6 @@ std::size_t check_framing(const std::uint8_t* p, std::size_t size,
   std::memcpy(&stored, p + size - sizeof(stored), sizeof(stored));
   NORS_CHECK_MSG(fnv1a(p, size - sizeof(stored)) == stored,
                  "checksum mismatch: corrupt frozen-table image");
-  version_out = version;
   return size - sizeof(stored);
 }
 
@@ -491,94 +434,12 @@ void check_offsets(std::span<const Off> off, std::size_t n, std::size_t pool,
                  what << ": offsets do not cover the pool");
 }
 
-// --------------------------------------------------------- hugepage copy --
-
-/// NORS_HUGEPAGES opt-in: unset or "0" means off.
-bool hugepages_requested() {
-  const char* e = std::getenv("NORS_HUGEPAGES");
-  return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
-}
-
-#if NORS_HAVE_MMAP
-
-/// Bytes available from the kernel's reserved (pre-allocated) hugepage
-/// pool, per /proc/meminfo — MAP_HUGETLB mmap can succeed with an empty
-/// pool and then SIGBUS on first touch, so only try it when the pool
-/// actually covers the image.
-std::size_t hugetlb_free_bytes() {
-  std::FILE* fp = std::fopen("/proc/meminfo", "r");
-  if (fp == nullptr) return 0;
-  std::size_t free_pages = 0, page_kb = 0;
-  char line[256];
-  while (std::fgets(line, sizeof(line), fp) != nullptr) {
-    unsigned long long val = 0;
-    if (std::sscanf(line, "HugePages_Free: %llu", &val) == 1) {
-      free_pages = static_cast<std::size_t>(val);
-    } else if (std::sscanf(line, "Hugepagesize: %llu kB", &val) == 1) {
-      page_kb = static_cast<std::size_t>(val);
-    }
-  }
-  std::fclose(fp);
-  return free_pages * page_kb * 1024;
-}
-
-/// Copies the image into hugepage-backed anonymous memory (DESIGN.md
-/// §10.4): explicit MAP_HUGETLB when the reserved pool covers the image,
-/// else transparent-hugepage advice on a plain anonymous mapping. Returns
-/// false — leaving the outputs untouched — when neither backing nor the
-/// file read works; the caller falls back to the ordinary file mapping.
-bool map_hugepage_copy(int fd, std::size_t size, void*& addr_out,
-                       std::size_t& map_len_out, bool& huge_out) {
-  constexpr std::size_t kHugeBytes = std::size_t{2} << 20;
-  const std::size_t rounded =
-      (size + kHugeBytes - 1) / kHugeBytes * kHugeBytes;
-  void* addr = MAP_FAILED;
-  bool huge = false;
-#if defined(MAP_HUGETLB)
-  if (hugetlb_free_bytes() >= rounded) {
-    addr = ::mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
-                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-    huge = addr != MAP_FAILED;
-  }
-#endif
-  if (addr == MAP_FAILED) {
-    addr = ::mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
-                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (addr == MAP_FAILED) return false;
-#if defined(MADV_HUGEPAGE)
-    huge = ::madvise(addr, rounded, MADV_HUGEPAGE) == 0;
-#endif
-  }
-  auto* dst = static_cast<std::uint8_t*>(addr);
-  std::size_t got = 0;
-  while (got < size) {
-    const ::ssize_t r =
-        ::pread(fd, dst + got, size - got, static_cast<::off_t>(got));
-    if (r <= 0) {
-      ::munmap(addr, rounded);
-      return false;
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  ::mprotect(addr, rounded, PROT_READ);  // views are read-only from here
-  addr_out = addr;
-  map_len_out = rounded;
-  huge_out = huge;
-  return true;
-}
-
-#endif  // NORS_HAVE_MMAP
-
 }  // namespace
 
 FrozenScheme::Mapping::~Mapping() {
 #if NORS_HAVE_MMAP
-  if (addr != nullptr) ::munmap(addr, map_len != 0 ? map_len : len);
+  if (addr != nullptr) ::munmap(addr, len);
 #endif
-}
-
-bool FrozenScheme::hugepage_backed() const {
-  return mapping_ != nullptr && mapping_->huge;
 }
 
 void FrozenScheme::bind_owned() {
@@ -603,8 +464,8 @@ void FrozenScheme::bind_owned() {
 
 void FrozenScheme::build_derived() {
   // Fuse the serialized (to, weight) columns into 16-byte LinkSlots so the
-  // walk reads one cache line per hop. Derived, never serialized — both
-  // wire versions keep the split columns.
+  // walk reads one cache line per hop. Derived, never serialized — the
+  // image keeps the split columns.
   links_.resize(adj_to_.size());
   for (std::size_t i = 0; i < links_.size(); ++i) {
     links_[i].w = adj_w_[i];
@@ -617,7 +478,6 @@ FrozenScheme FrozenScheme::freeze(const core::RoutingScheme& scheme) {
   const graph::WeightedGraph& g = scheme.graph();
   NORS_CHECK_MSG(g.frozen(), "freeze() needs the CSR (frozen) graph");
   FrozenScheme f;
-  f.format_version_ = kVersionLatest;
   f.storage_ = std::make_unique<Storage>();
   Storage& st = *f.storage_;
   const int n = g.n();
@@ -933,8 +793,8 @@ void FrozenScheme::validate() const {
   NORS_CHECK_MSG(adj_w_.size() == adj_to_.size(), "link map weight column");
   // Link targets feed back into every per-vertex array as the walk's next
   // x; range-check them here so serving never indexes out of bounds even
-  // on a corrupt-but-checksummed image (ports are bounds-checked at the
-  // single place they index the link map, in route_with).
+  // on a corrupt-but-checksummed image (ports are bounds-checked where
+  // they index the link map: in route_core and in route_batch_impl).
   for (const auto to : adj_to_) {
     NORS_CHECK_MSG(to >= 0 && to < n_, "link map target out of range");
   }
@@ -1006,14 +866,10 @@ void FrozenScheme::validate() const {
 }
 
 std::vector<std::uint8_t> FrozenScheme::save() const {
-  return save_as(format_version_);
-}
-
-std::vector<std::uint8_t> FrozenScheme::save_as(std::uint32_t version) const {
   std::vector<std::uint8_t> out;
   out.reserve(static_cast<std::size_t>(byte_size()) + 512);
   VectorSink sink{out};
-  save_impl(sink, version, adj_w_);
+  save_impl(sink, adj_w_);
   return out;
 }
 
@@ -1041,13 +897,13 @@ std::vector<std::uint8_t> FrozenScheme::save_with_link_weights(
   std::vector<std::uint8_t> out;
   out.reserve(static_cast<std::size_t>(byte_size()) + 512);
   VectorSink sink{out};
-  save_impl(sink, format_version_, patched);
+  save_impl(sink, patched);
   return out;
 }
 
 void FrozenScheme::save_file(const std::string& path) const {
   FileSink sink(path, /*durable=*/false);
-  save_impl(sink, format_version_, adj_w_);
+  save_impl(sink, adj_w_);
   sink.commit();
 }
 
@@ -1056,18 +912,16 @@ void FrozenScheme::save_file_with_link_weights(
     std::span<const std::pair<std::int64_t, graph::Dist>> overrides) const {
   const auto patched = patched_link_weights(overrides);
   FileSink sink(path, /*durable=*/true);
-  save_impl(sink, format_version_, patched);
+  save_impl(sink, patched);
   sink.commit();
 }
 
 template <typename Sink>
-void FrozenScheme::save_impl(Sink& sink, std::uint32_t version,
+void FrozenScheme::save_impl(Sink& sink,
                              std::span<const std::int64_t> adj_w) const {
-  NORS_CHECK_MSG(version == kVersionV2 || version == kVersionLatest,
-                 "unsupported frozen-table version " << version);
   ImageWriter<Sink> w(sink);
   w.put(kMagic, sizeof(kMagic));
-  w.put(&version, sizeof(version));
+  w.put(&kVersion, sizeof(kVersion));
   w.put(&kEndianTag, sizeof(kEndianTag));
   w.put(&n_, sizeof(n_));
   w.put(&k_, sizeof(k_));
@@ -1077,54 +931,27 @@ void FrozenScheme::save_impl(Sink& sink, std::uint32_t version,
   w.put_span(tree_root_);
   w.put_span(tree_level_);
   w.put_span(table_off_);
-  if (version == kVersionV2) {
-    // Each packed slot is re-zipped into its historical 80-byte wire
-    // record on its way out (80-byte records need no padding).
-    const std::uint64_t count = tables_.size();
-    w.put(&count, sizeof(count));
-    for (std::size_t i = 0; i < tables_.size(); ++i) {
-      const TableSlot& t = tables_[i];
-      TableSlotV2 r;
-      r.local_a = t.local_a;
-      r.local_b = t.local_b;
-      r.a_prime = t.a_prime;
-      r.b_prime = t.b_prime;
-      r.heavy_portal_a = t.heavy_portal_a;
-      r.tree = table_tree_[i];
-      r.subtree_root = t.subtree_root;
-      r.parent_port = t.parent_port;
-      r.heavy_child_port = t.heavy_child_port;
-      r.heavy_prime = t.heavy_prime;
-      r.heavy_cross_port = t.heavy_cross_port;
-      r.heavy_light_off = t.heavy_light_off;
-      r.heavy_light_len = t.heavy_light_len;
-      r.up_port = t.up_port;
-      r.pad = 0;
-      w.put(&r, sizeof(r));
-    }
-  } else {
-    w.put_span(table_tree_);
-    // The varint section's byte count precedes its bytes: a size-only
-    // pass measures it, then each entry is encoded straight to the sink.
-    std::uint64_t len = 0;
-    std::int64_t prev_light_off = 0;
-    for (const auto& t : tables_) {
-      table_entry_fields(t, prev_light_off, [&len](std::uint64_t u) {
-        len += core::uvarint_size(u);
-      });
-    }
-    w.put(&len, sizeof(len));
-    prev_light_off = 0;
-    for (const auto& t : tables_) {
-      std::uint8_t buf[kMaxTableEntryBytes];
-      std::uint8_t* e = buf;
-      table_entry_fields(t, prev_light_off, [&e](std::uint64_t u) {
-        e = core::put_uvarint(e, u);
-      });
-      w.put(buf, static_cast<std::size_t>(e - buf));
-    }
-    w.pad(static_cast<std::size_t>(len));
+  w.put_span(table_tree_);
+  // The varint section's byte count precedes its bytes: a size-only
+  // pass measures it, then each entry is encoded straight to the sink.
+  std::uint64_t len = 0;
+  std::int64_t prev_light_off = 0;
+  for (const auto& t : tables_) {
+    table_entry_fields(t, prev_light_off, [&len](std::uint64_t u) {
+      len += core::uvarint_size(u);
+    });
   }
+  w.put(&len, sizeof(len));
+  prev_light_off = 0;
+  for (const auto& t : tables_) {
+    std::uint8_t buf[kMaxTableEntryBytes];
+    std::uint8_t* e = buf;
+    table_entry_fields(t, prev_light_off, [&e](std::uint64_t u) {
+      e = core::put_uvarint(e, u);
+    });
+    w.put(buf, static_cast<std::size_t>(e - buf));
+  }
+  w.pad(static_cast<std::size_t>(len));
   w.put_span(labels_);
   w.put_span(hops_);
   w.put_span(lights_);
@@ -1142,14 +969,12 @@ FrozenScheme FrozenScheme::load(const std::vector<std::uint8_t>& bytes) {
   if (util::failpoint("frozen.load") == util::FpAction::kError) {
     throw std::runtime_error("injected failure: frozen.load failpoint");
   }
-  std::uint32_t version = 0;
-  const std::size_t limit = check_framing(bytes.data(), bytes.size(), version);
+  const std::size_t limit = check_framing(bytes.data(), bytes.size());
   // check_framing verified the preamble (magic, version, endianness);
   // decoding starts at the i32 header fields right after it.
   Cursor c(bytes.data() + kPreambleBytes, limit - kPreambleBytes);
 
   FrozenScheme f;
-  f.format_version_ = version;
   f.storage_ = std::make_unique<Storage>();
   Storage& st = *f.storage_;
   c.read(&f.n_, sizeof(f.n_));
@@ -1160,17 +985,11 @@ FrozenScheme FrozenScheme::load(const std::vector<std::uint8_t>& bytes) {
   c.read_vec(st.tree_root);
   c.read_vec(st.tree_level);
   c.read_vec(st.table_off);
-  if (version == kVersionV2) {
-    std::vector<TableSlotV2> wide;
-    c.read_vec(wide);
-    unzip_tables(wide, st.table_tree, st.tables);
-  } else {
-    c.read_vec(st.table_tree);
-    std::vector<std::uint8_t> blob;
-    c.read_vec(blob);
-    decode_table_blob(blob.data(), blob.size(), st.table_tree.size(),
-                      st.tables);
-  }
+  c.read_vec(st.table_tree);
+  std::vector<std::uint8_t> blob;
+  c.read_vec(blob);
+  decode_table_blob(blob.data(), blob.size(), st.table_tree.size(),
+                    st.tables);
   c.read_vec(st.labels);
   c.read_vec(st.hops);
   c.read_vec(st.lights);
@@ -1218,30 +1037,19 @@ FrozenScheme FrozenScheme::map(const std::string& path) {
   const auto size = static_cast<std::size_t>(sb.st_size);
   auto mapping = std::make_unique<Mapping>();
   if (size > 0) {
-    bool bound = false;
-    if (hugepages_requested()) {
-      bound = map_hugepage_copy(fd, size, mapping->addr, mapping->map_len,
-                                mapping->huge);
-      if (bound) mapping->len = size;
+    void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (addr == MAP_FAILED) {
+      ::close(fd);
+      NORS_CHECK_MSG(false, "mmap failed for " << path);
     }
-    if (!bound) {
-      void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-      if (addr == MAP_FAILED) {
-        ::close(fd);
-        NORS_CHECK_MSG(false, "mmap failed for " << path);
-      }
-      mapping->addr = addr;
-      mapping->len = size;
-      mapping->map_len = size;
-    }
+    mapping->addr = addr;
+    mapping->len = size;
   }
   ::close(fd);
   const std::uint8_t* p = mapping->data();
-  std::uint32_t version = 0;
-  const std::size_t limit = check_framing(p, size, version);
+  const std::size_t limit = check_framing(p, size);
 
   FrozenScheme f;
-  f.format_version_ = version;
   // As in load(): the preamble was verified by check_framing, so the
   // in-place cursor starts at the i32 header fields (absolute addresses
   // are preserved, which the alignment checks rely on).
@@ -1255,23 +1063,14 @@ FrozenScheme FrozenScheme::map(const std::string& path) {
   c.read_span(f.tree_level_);
   c.read_span(f.table_off_);
   // The table slots are the one piece the mapped path decodes into owned
-  // memory on both versions (v2 narrows the wide records, v3 inflates the
-  // varint section) — the packed in-memory form is what the hot path
-  // wants, and re-deriving it beats paging 80-byte slots forever. The v3
-  // tree-key column is served zero-copy straight from the image.
+  // memory (it inflates the varint section into the packed form the hot
+  // path wants); the tree-key column is served zero-copy from the image.
   f.storage_ = std::make_unique<Storage>();
-  if (version == kVersionV2) {
-    std::span<const TableSlotV2> wide;
-    c.read_span(wide);
-    unzip_tables(wide, f.storage_->table_tree, f.storage_->tables);
-    f.table_tree_ = f.storage_->table_tree;
-  } else {
-    c.read_span(f.table_tree_);
-    std::span<const std::uint8_t> blob;
-    c.read_span(blob);
-    decode_table_blob(blob.data(), blob.size(), f.table_tree_.size(),
-                      f.storage_->tables);
-  }
+  c.read_span(f.table_tree_);
+  std::span<const std::uint8_t> blob;
+  c.read_span(blob);
+  decode_table_blob(blob.data(), blob.size(), f.table_tree_.size(),
+                    f.storage_->tables);
   f.tables_ = f.storage_->tables;
   c.read_span(f.labels_);
   c.read_span(f.hops_);

@@ -115,8 +115,8 @@ struct NoTableCache {
 /// by test_serve. route_batch() answers many queries through a software
 /// pipeline (stage machine per in-flight query with explicit prefetch one
 /// stage ahead), so the table-lookup cache misses of different queries
-/// overlap instead of serializing — the throughput path every serving
-/// front-end (RouteServer, ShardedRouteServer) runs on.
+/// overlap instead of serializing — the throughput path the serving
+/// front-end (ShardedRouteServer) runs on.
 ///
 /// Every slab is exposed as a std::span view; the bytes behind the views
 /// are either *owned* (freeze()/load() fill heap vectors) or *mapped*
@@ -126,14 +126,11 @@ struct NoTableCache {
 /// construction.
 ///
 /// save()/load()/map() share a versioned little-endian binary format
-/// (magic NORSFRZ1, endianness tag, FNV-1a checksum; format spec in
-/// DESIGN.md §5.2/§10). Two on-disk versions are supported: version 2
-/// (fixed 80-byte table slots, fully mappable in place) and version 3
-/// (split table sections: raw i32 tree-key column + delta/varint-
-/// compressed slot columns — a substantially smaller image). load() and
-/// map() accept both; save() re-emits the version the instance came from
-/// (freeze() produces the latest), and save_as() converts. Per version,
-/// save→load→save and save→map→save are byte-identical.
+/// (magic NORSFRZ1, version 3, endianness tag, FNV-1a checksum; format
+/// spec in DESIGN.md §5.2/§10): the table slabs are split into a raw i32
+/// tree-key column and delta/varint-compressed slot columns. Any other
+/// version is refused — re-freeze to migrate. save→load→save and
+/// save→map→save are byte-identical.
 class FrozenScheme {
  public:
   // ---------------------------------------------------------- slot PODs --
@@ -162,9 +159,9 @@ class FrozenScheme {
   /// The slab's sort key — the cluster-tree index — lives in the parallel
   /// table_tree() column, and all DFS-interval fields are int32: a DFS
   /// clock is bounded by the tree size, which is bounded by n, which is
-  /// itself an int32 (the narrowing is range-checked when a version-2
-  /// image, which stores these fields as int64, is decoded). 56 bytes =
-  /// at most two cache lines per decision, usually one.
+  /// itself an int32 (the narrowing is range-checked when freeze() packs
+  /// them and when an image is decoded). 56 bytes = at most two cache
+  /// lines per decision, usually one.
   struct TableSlot {
     std::int32_t local_a = 0;         // TZ interval of x in T_{w(x)}
     std::int32_t local_b = 0;
@@ -252,21 +249,18 @@ class FrozenScheme {
   /// sized before it is filled (DESIGN.md §9).
   static FrozenScheme freeze(const core::RoutingScheme& scheme);
 
-  /// Versioned binary image (format: DESIGN.md §5.2/§10). save() writes
-  /// the instance's own format version — the one it was loaded from, or
-  /// the latest for freeze() outputs; save_as() converts explicitly. All
-  /// save paths share one streaming emitter: the image is written front to
-  /// back once, its checksum computed on the way, so the vector these
-  /// return is the only copy ever made — and save_file() makes none.
+  /// Versioned binary image (format: DESIGN.md §5.2/§10). All save paths
+  /// share one streaming emitter: the image is written front to back
+  /// once, its checksum computed on the way, so the vector save() returns
+  /// is the only copy ever made — and save_file() makes none.
   std::vector<std::uint8_t> save() const;
-  std::vector<std::uint8_t> save_as(std::uint32_t version) const;
 
   /// save() with the link-map weight column patched by `overrides`
   /// ((global link index, weight) pairs; negative weights — failures —
   /// are skipped, the image format has no failure notion). This is the
   /// checkpoint-compaction image (DESIGN.md §14): delta weight repairs are
-  /// baked into a fresh image in the instance's own format version, and
-  /// everything else is byte-identical to save().
+  /// baked into a fresh image, and everything else is byte-identical to
+  /// save().
   std::vector<std::uint8_t> save_with_link_weights(
       std::span<const std::pair<std::int64_t, graph::Dist>> overrides) const;
   static FrozenScheme load(const std::vector<std::uint8_t>& bytes);
@@ -291,54 +285,32 @@ class FrozenScheme {
   /// Zero-copy load: mmaps the NORSFRZ1 image at `path` read-only,
   /// validates the checksum against the mapped bytes, and binds slab
   /// views directly into the mapping wherever the wire layout matches the
-  /// in-memory one (labels, pools, tricks, link columns, blobs — and the
-  /// v3 tree-key column). Table slots are decoded/packed into owned
-  /// memory on both versions (v2 narrows 80-byte slots, v3 inflates the
-  /// varint columns). Rejects corrupt images exactly like load().
-  ///
-  /// Opt-in hugepage backing: with NORS_HUGEPAGES=1 in the environment,
-  /// the image is copied into hugepage-backed anonymous memory instead of
-  /// being file-mapped (MAP_HUGETLB when the system has reserved huge
-  /// pages, transparent-hugepage advice otherwise, plain pages as the
-  /// last resort) — trading zero-copy startup for far fewer TLB misses on
-  /// the ~100 MB serving working set. Serving behavior is identical.
+  /// in-memory one (labels, pools, tricks, link columns, blobs and the
+  /// tree-key column). Table slots are inflated from the varint columns
+  /// into owned memory. Rejects corrupt images exactly like load().
   static FrozenScheme map(const std::string& path);
 
   /// True when the slabs alias an mmap'ed image rather than owned heap
   /// vectors (inspection/bench reporting only — serving is identical).
   bool is_mapped() const { return mapping_ != nullptr; }
 
-  /// True when map() placed the image in hugepage-backed memory
-  /// (NORS_HUGEPAGES=1 and at least the transparent-hugepage fallback
-  /// succeeded).
-  bool hugepage_backed() const;
-
-  /// The on-disk format version save() will emit (2 or 3).
-  std::uint32_t format_version() const { return format_version_; }
+  /// The on-disk format version save() emits and load()/map() accept.
+  static constexpr std::uint32_t format_version() { return 3; }
 
   // ------------------------------------------------------------ serving --
 
   /// Frozen route decision query; answers are identical to
   /// RoutingScheme::route() on the live scheme (length, hops, tree choice,
-  /// via_trick). Throws like the live walk on impossible states.
-  Decision route(graph::Vertex u, graph::Vertex v) const {
-    return route_with(
-        u, v,
-        [this](graph::Vertex x, std::int32_t tree) {
-          return table_slot(x, tree);
-        },
-        nullptr);
-  }
-
-  /// As route(), and also records the visited vertices (including u and v).
+  /// via_trick). A non-null `path` also records the visited vertices
+  /// (including u and v). Throws like the live walk on impossible states.
   Decision route(graph::Vertex u, graph::Vertex v,
-                 std::vector<graph::Vertex>* path) const {
-    return route_with(
+                 std::vector<graph::Vertex>* path = nullptr) const {
+    return route_core(
         u, v,
         [this](graph::Vertex x, std::int32_t tree) {
           return table_slot(x, tree);
         },
-        path);
+        NoOverlay{}, nullptr, path);
   }
 
   /// Software-pipelined batch engine (DESIGN.md §10): answers queries[i]
@@ -400,8 +372,8 @@ class FrozenScheme {
 
   /// Index into tables() of x's slab entry for cluster tree `tree`, or -1
   /// when x is not in that tree — a SIMD lower-bound scan over the slab's
-  /// run of the tree-key column (util/simd.h). This is the lookup
-  /// RouteServer's (vertex, tree) cache memoizes.
+  /// run of the tree-key column (util/simd.h). This is the lookup the
+  /// (vertex, tree) table cache (serve/table_cache.h) memoizes.
   std::int32_t table_index(graph::Vertex x, std::int32_t tree) const {
     const std::int64_t lo = table_off_[static_cast<std::size_t>(x)];
     const std::int64_t hi = table_off_[static_cast<std::size_t>(x) + 1];
@@ -419,20 +391,11 @@ class FrozenScheme {
     return idx < 0 ? nullptr : &tables_[static_cast<std::size_t>(idx)];
   }
 
-  /// The core walk, parameterized over the (vertex, tree) → TableSlot*
-  /// lookup so callers can interpose a cache. Lookup must return nullptr
-  /// exactly when table_index() returns -1.
-  template <typename TableLookup>
-  Decision route_with(graph::Vertex u, graph::Vertex v, TableLookup&& lookup,
-                      std::vector<graph::Vertex>* path) const {
-    NoOverlay none;
-    return route_core(u, v, std::forward<TableLookup>(lookup), none, nullptr,
-                      path);
-  }
-
-  /// route_with() with an overlay interposed (see NoOverlay for the
-  /// concept): the generalization every route entry point compiles down
-  /// to.
+  /// The scalar walk every single-query entry point compiles down to,
+  /// parameterized over the (vertex, tree) → TableSlot* lookup so callers
+  /// can interpose a cache, and over an overlay (see NoOverlay for the
+  /// concept). Lookup must return nullptr exactly when table_index()
+  /// returns -1.
   template <typename TableLookup, typename Overlay>
   Decision route_core(graph::Vertex u, graph::Vertex v, TableLookup&& lookup,
                       const Overlay& ov, OverlayTouch* touch,
@@ -598,8 +561,7 @@ class FrozenScheme {
   /// temp file, frozen.cc), hashing as it goes. The link-weight column is
   /// the caller's (the unpatched adj_w_, or a patched copy).
   template <typename Sink>
-  void save_impl(Sink& sink, std::uint32_t version,
-                 std::span<const std::int64_t> adj_w) const;
+  void save_impl(Sink& sink, std::span<const std::int64_t> adj_w) const;
 
   /// adj_w_ with the weight overrides of save_with_link_weights() applied.
   std::vector<std::int64_t> patched_link_weights(
@@ -628,9 +590,7 @@ class FrozenScheme {
     std::vector<std::uint8_t> blobs;
   };
 
-  /// RAII image memory of the map() path: a read-only file mapping, or —
-  /// with NORS_HUGEPAGES=1 — an anonymous hugepage-backed copy of the
-  /// file (DESIGN.md §10.4).
+  /// RAII image memory of the map() path: a read-only file mapping.
   struct Mapping {
     Mapping() = default;
     Mapping(const Mapping&) = delete;
@@ -640,9 +600,7 @@ class FrozenScheme {
       return static_cast<const std::uint8_t*>(addr);
     }
     void* addr = nullptr;
-    std::size_t len = 0;        // image bytes
-    std::size_t map_len = 0;    // mapped bytes (≥ len; hugepage rounding)
-    bool huge = false;          // hugepage-backed (MAP_HUGETLB or THP)
+    std::size_t len = 0;  // image bytes
   };
 
   /// Points every span at the owned vectors.
@@ -656,7 +614,6 @@ class FrozenScheme {
   std::int32_t k_ = 0;
   std::int32_t label_trick_ = 0;
   std::int32_t num_trees_ = 0;
-  std::uint32_t format_version_ = 0;  // set by freeze()/load()/map()
 
   // Slab views — into storage_ (owning paths) or mapping_ (map()).
   std::span<const std::int32_t> level_;       // [n] hierarchy level
@@ -761,7 +718,7 @@ Decision FrozenScheme::route_core(graph::Vertex u, graph::Vertex v,
   std::int32_t ord = 0;
   DestView dest;
   // find_tree wants an index-or-negative probe; adapt the slot lookup
-  // (nullptr ⟺ not a member, per the route_with contract).
+  // (nullptr ⟺ not a member, per the route_core contract).
   auto probe = [&lookup](graph::Vertex x, std::int32_t t) {
     return lookup(x, t) == nullptr ? -1 : 0;
   };
@@ -776,7 +733,8 @@ Decision FrozenScheme::route_core(graph::Vertex u, graph::Vertex v,
     NORS_CHECK_MSG(port != graph::kNoPort, "router stalled before arrival");
     const std::int64_t base = adj_off_[static_cast<std::size_t>(x)];
     // Both bounds: a corrupt-but-checksummed image could carry any port
-    // value, and this is the only place ports index the link map.
+    // value. Ports index the link map only here and in route_batch_impl's
+    // kDecide stage, which checks them the same way.
     NORS_CHECK_MSG(
         port >= 0 && base + port < adj_off_[static_cast<std::size_t>(x) + 1],
         "bad port " << port << " at vertex " << x);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "serve/frozen.h"
-#include "serve/server.h"
 
 namespace nors::serve {
 
@@ -23,8 +22,8 @@ struct ShardedOptions {
   int shards = 1;
 
   /// Per-worker entries of the (vertex, tree) → table-slot cache
-  /// (serve/table_cache.h; 0 disables). Workers are long-lived, so unlike
-  /// RouteServer's per-call caches these stay warm across batches.
+  /// (serve/table_cache.h; 0 disables). Workers are long-lived, so these
+  /// stay warm across batches.
   int cache_entries = 0;
 };
 

@@ -10,9 +10,9 @@ namespace nors::serve {
 /// Two-way set-associative LRU cache for (vertex, tree) → table-slot index
 /// — the slab binary search is the serving walk's only non-constant step,
 /// and hot cluster trees (the top-level trees contain all of V) resolve in
-/// one probe once cached. Owned per worker (RouteServer chunk threads,
-/// ShardedRouteServer shard workers): the frozen scheme stays untouched
-/// and shared read-only. A set's way 0 is the most recently used; a hit in
+/// one probe once cached. Owned per worker (ShardedRouteServer shard
+/// workers, or a single caller of route_batch_cached()): the frozen
+/// scheme stays untouched and shared read-only. A set's way 0 is the most recently used; a hit in
 /// way 1 swaps the ways. Caching is transparent: a cached "not a member"
 /// (idx -1) answers exactly like FrozenScheme::table_index().
 class TableCache {

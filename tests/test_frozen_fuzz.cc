@@ -373,6 +373,37 @@ TEST_F(FrozenFuzz, VarintBodyBitFlipsAreRejectedOrDecodeToRejectedTables) {
   EXPECT_EQ(rejected + survived, 120);
 }
 
+TEST_F(FrozenFuzz, OtherFormatVersionsAreRefused) {
+  // Version 3 is the only image format (DESIGN.md §5.2). An image whose
+  // header names another version — 2, the retired fixed-slot format,
+  // above all — must be refused by its version, even with a valid
+  // checksum, on both decode paths; migrating means re-freezing.
+  for (const std::uint32_t version : {2u, 1u, 4u}) {
+    auto bad = image();
+    std::memcpy(bad.data() + 8, &version, sizeof(version));
+    repatch_checksum(bad);
+    const std::string want =
+        "unsupported frozen-table version " + std::to_string(version);
+    auto expect_refused = [&want](auto&& decode, const char* path_kind) {
+      try {
+        decode();
+        ADD_FAILURE() << path_kind << " accepted a version it must refuse";
+      } catch (const std::logic_error& e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << path_kind << ": " << e.what();
+      }
+    };
+    expect_refused([&bad] { serve::FrozenScheme::load(bad); }, "load()");
+    const std::string path = ::testing::TempDir() + "/nors_fuzz_version.bin";
+    std::FILE* fp = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(fp, nullptr);
+    ASSERT_EQ(std::fwrite(bad.data(), 1, bad.size(), fp), bad.size());
+    std::fclose(fp);
+    expect_refused([&path] { serve::FrozenScheme::map(path); }, "map()");
+    std::remove(path.c_str());
+  }
+}
+
 TEST_F(FrozenFuzz, RejectionsLeaveNoPartiallyConstructedState) {
   // A rejected image must not poison later loads — decode into fresh
   // state each time (regression guard for static/global scratch).

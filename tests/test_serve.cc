@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -12,7 +13,6 @@
 #include "graph/generators.h"
 #include "serve/frozen.h"
 #include "serve/frozen_tz.h"
-#include "serve/server.h"
 #include "serve/shard.h"
 #include "serve/table_cache.h"
 
@@ -193,65 +193,6 @@ TEST(FrozenScheme, CorruptImagesAreRejected) {
 
   // The pristine image still loads.
   EXPECT_NO_THROW(serve::FrozenScheme::load(bytes));
-}
-
-TEST(RouteServer, ThreadedAndCachedBatchesMatchDirectRoutes) {
-  const auto g = test_graph(140, 4600);
-  const auto s = build_scheme(g, 3, true, 31);
-  const auto f = serve::FrozenScheme::freeze(s);
-
-  std::vector<serve::Query> queries;
-  util::Rng rng(99);
-  for (int i = 0; i < 4000; ++i) {
-    const auto u = static_cast<Vertex>(rng.uniform(
-        static_cast<std::uint64_t>(g.n())));
-    const auto v = static_cast<Vertex>(rng.uniform(
-        static_cast<std::uint64_t>(g.n())));
-    queries.push_back({u, v});
-  }
-
-  serve::ServerOptions opt;
-  opt.threads = 4;
-  opt.cache_entries = 256;
-  const serve::RouteServer server(f, opt);
-  std::vector<serve::Decision> got;
-  server.serve(queries, got);
-
-  ASSERT_EQ(got.size(), queries.size());
-  std::int64_t hops = 0;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expect_same_decision(s.route(queries[i].u, queries[i].v), got[i],
-                         queries[i].u, queries[i].v);
-    hops += got[i].hops;
-  }
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.queries, static_cast<std::int64_t>(queries.size()));
-  EXPECT_EQ(stats.hops, hops);
-  EXPECT_GT(stats.cache_hits, 0);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses > 0, true);
-
-  // An uncached single-thread pass answers identically.
-  const serve::RouteServer plain(f);
-  std::vector<serve::Decision> got2;
-  plain.serve(queries, got2);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(got[i].length, got2[i].length);
-    EXPECT_EQ(got[i].hops, got2[i].hops);
-  }
-}
-
-TEST(RouteServer, WorkerExceptionsPropagateToCaller) {
-  const auto g = test_graph(60, 4800);
-  const auto s = build_scheme(g, 2, true, 37);
-  const auto f = serve::FrozenScheme::freeze(s);
-  serve::ServerOptions opt;
-  opt.threads = 4;
-  const serve::RouteServer server(f, opt);
-  // A default Query holds kNoVertex endpoints; the throw happens inside a
-  // worker thread and must surface on the caller, not std::terminate.
-  std::vector<serve::Query> queries(100);
-  std::vector<serve::Decision> out;
-  EXPECT_THROW(server.serve(queries, out), std::logic_error);
 }
 
 TEST(FrozenSchemeMap, MappedImageIsBitIdenticalToOwningLoad) {
@@ -622,55 +563,19 @@ TEST(FrozenScheme, RouteBatchMatchesSerialRoutes) {
   EXPECT_GT(bs.cache_misses, 0);
 }
 
-TEST(FrozenScheme, BothImageVersionsRoundTripByteIdentically) {
-  const auto g = test_graph(110, 6200);
-  const auto s = build_scheme(g, 3, true, 89);
-  const auto f = serve::FrozenScheme::freeze(s);
-  EXPECT_EQ(f.format_version(), 3u);
-
-  const auto v3 = f.save_as(3);
-  const auto v2 = f.save_as(2);
-  EXPECT_EQ(f.save(), v3);  // latest is the default
-  EXPECT_LT(v3.size(), v2.size()) << "varint columns should shrink the image";
-
-  // Each version survives load()→save() byte-for-byte — load remembers
-  // which version it decoded and save() re-emits it.
-  const auto l3 = serve::FrozenScheme::load(v3);
-  EXPECT_EQ(l3.format_version(), 3u);
-  EXPECT_EQ(l3.save(), v3);
-  const auto l2 = serve::FrozenScheme::load(v2);
-  EXPECT_EQ(l2.format_version(), 2u);
-  EXPECT_EQ(l2.save(), v2);
-
-  // Cross-version: a v2 load re-encodes to the exact v3 bytes and back.
-  EXPECT_EQ(l2.save_as(3), v3);
-  EXPECT_EQ(l3.save_as(2), v2);
-
-  // And both serve identical decisions.
-  for (Vertex u = 0; u < g.n(); u += 9) {
-    for (Vertex v = 1; v < g.n(); v += 8) {
-      expect_same_decision(s.route(u, v), l2.route(u, v), u, v);
-      expect_same_decision(s.route(u, v), l3.route(u, v), u, v);
-    }
+TEST(FrozenScheme, ImageHeaderCarriesFormatVersion3) {
+  // Version 3 is the only image format: every save stamps it into the
+  // header (bytes 8..11, after the magic), and format_version() — what
+  // net::Server reports as its hello's image_version — says the same.
+  // Any other version is refused on load (test_frozen_fuzz).
+  const auto f = serve::FrozenScheme::freeze(
+      build_scheme(test_graph(110, 6200), 3, true, 89));
+  for (const auto& bytes : {f.save(), f.save_with_link_weights({})}) {
+    std::uint32_t version = 0;
+    std::memcpy(&version, bytes.data() + 8, sizeof(version));
+    EXPECT_EQ(version, serve::FrozenScheme::format_version());
+    EXPECT_EQ(version, 3u);
   }
-
-  // The mmap path round-trips both versions too (save→map→save).
-  for (const std::uint32_t version : {2u, 3u}) {
-    const auto bytes = f.save_as(version);
-    const std::string path = ::testing::TempDir() + "/nors_ver_" +
-                             std::to_string(version) + ".bin";
-    std::FILE* fp = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(fp, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), fp), bytes.size());
-    std::fclose(fp);
-    const auto mapped = serve::FrozenScheme::map(path);
-    EXPECT_EQ(mapped.format_version(), version);
-    EXPECT_EQ(mapped.save(), bytes);
-    std::remove(path.c_str());
-  }
-
-  EXPECT_THROW(f.save_as(1), std::logic_error);
-  EXPECT_THROW(f.save_as(4), std::logic_error);
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
@@ -694,7 +599,7 @@ bool file_exists(const std::string& path) {
 TEST(FrozenScheme, StreamedFileSavesMatchInMemorySaves) {
   // save_file() and the checkpoint writer stream the image through the
   // same emitter as save(); the bytes on disk must be exactly save()'s
-  // for every kind of instance: frozen (v3), loaded (v2) and mapped (v3).
+  // for every kind of instance: frozen, loaded and mapped.
   const auto g = test_graph(120, 6250);
   const auto s = build_scheme(g, 3, true, 91);
   const auto f = serve::FrozenScheme::freeze(s);
@@ -703,10 +608,11 @@ TEST(FrozenScheme, StreamedFileSavesMatchInMemorySaves) {
   f.save_file(path);
   EXPECT_EQ(read_file(path), f.save());
 
-  const auto v2 = serve::FrozenScheme::load(f.save_as(2));
-  ASSERT_EQ(v2.format_version(), 2u);
-  v2.save_file(path);
-  EXPECT_EQ(read_file(path), v2.save());
+  const auto loaded = serve::FrozenScheme::load(f.save());
+  ASSERT_FALSE(loaded.is_mapped());
+  loaded.save_file(path);
+  EXPECT_EQ(read_file(path), loaded.save());
+  EXPECT_EQ(read_file(path), f.save());
 
   with_mapped(f, "stream", [&](const serve::FrozenScheme& mapped) {
     mapped.save_file(path);
@@ -715,10 +621,10 @@ TEST(FrozenScheme, StreamedFileSavesMatchInMemorySaves) {
   });
 
   // Weight repairs, a failure (skipped) and a no-op, through the durable
-  // checkpoint writer, on both versions.
+  // checkpoint writer, from a frozen and from a loaded instance.
   const std::vector<std::pair<std::int64_t, graph::Dist>> overrides = {
       {0, 7}, {3, -1}, {5, 1000}, {11, f.link_map()[11].w}};
-  for (const serve::FrozenScheme* img : {&f, &v2}) {
+  for (const serve::FrozenScheme* img : {&f, &loaded}) {
     img->save_file_with_link_weights(path, overrides);
     const auto expect = img->save_with_link_weights(overrides);
     EXPECT_EQ(read_file(path), expect);
@@ -759,25 +665,6 @@ TEST(FrozenScheme, SaveFileReplacesAMappedImageWithoutTruncatingIt) {
   ::rmdir(dir.c_str());
   EXPECT_THROW(small.save_file(dir + "/missing/img.bin"), std::runtime_error);
   std::remove(path.c_str());
-}
-
-TEST(FrozenSchemeMap, HugepageEnvSmoke) {
-  // NORS_HUGEPAGES=1 must never change behavior — only the backing. On
-  // machines without a hugepage pool the copy falls back to a regular
-  // anonymous mapping (or plain file mmap), so this runs everywhere.
-  const auto g = test_graph(90, 6300);
-  const auto s = build_scheme(g, 2, true, 97);
-  const auto f = serve::FrozenScheme::freeze(s);
-  ::setenv("NORS_HUGEPAGES", "1", 1);
-  with_mapped(f, "huge", [&](const serve::FrozenScheme& mapped) {
-    EXPECT_EQ(mapped.save(), f.save());
-    for (Vertex u = 0; u < g.n(); u += 13) {
-      for (Vertex v = 3; v < g.n(); v += 11) {
-        expect_same_decision(s.route(u, v), mapped.route(u, v), u, v);
-      }
-    }
-  });
-  ::unsetenv("NORS_HUGEPAGES");
 }
 
 TEST(ShardedRouteServer, WorkerCountIsClampedToHardware) {

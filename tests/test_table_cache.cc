@@ -8,8 +8,8 @@
 #include "serve/frozen.h"
 #include "serve/table_cache.h"
 
-// Direct tests of the two-way set-associative TableCache — until now it
-// was only covered indirectly through RouteServer equivalence. The batch
+// Direct tests of the two-way set-associative TableCache; the serving
+// tests cover it only indirectly, through batch equivalence. The batch
 // engine calls the probe()/insert() halves separately, so aliasing and
 // eviction bugs would corrupt routes through a *stale index*, which the
 // engine trusts without re-searching; these tests pin the contract.
