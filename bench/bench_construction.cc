@@ -1,7 +1,7 @@
-// Construction-pipeline scaling bench (DESIGN.md §7/§9): wall-clock, peak
-// RSS and arena-pool traffic of the full RoutingScheme::build at k=3 on the
-// workhorse G(n, 3n) workload, n = 2^12 .. 2^16, serial vs thread-pooled
-// rows. The threaded rows must report bit-identical round counts — the pool
+// Construction-pipeline scaling bench (DESIGN.md §7/§9): wall-clock and
+// peak RSS of the full RoutingScheme::build at k=3 on the workhorse
+// G(n, 3n) workload, n = 2^12 .. 2^16, serial vs thread-pooled rows. The
+// threaded rows must report bit-identical round counts — the pool
 // only moves wall-clock (the determinism suite enforces the same for
 // tables, labels and ledgers). Results land in BENCH_construction.json; the
 // committed snapshot lives in bench/results/ (schema:
@@ -37,7 +37,6 @@
 #include "common.h"
 #include "core/scheme.h"
 #include "serve/frozen.h"
-#include "util/arena.h"
 
 namespace {
 
@@ -61,12 +60,12 @@ int threaded_pool_size() {
 
 int main() {
   bench::print_header("BENCH construction",
-                      "scheme_build wall-clock + peak RSS + arena traffic, "
+                      "scheme_build wall-clock + peak RSS, "
                       "serial vs thread-pooled (k=3, G(n, 3n), w in [1,32])");
   bench::JsonReport report("construction");
   util::TextTable table({"n", "threads", "wall_s", "rounds", "trees",
-                         "peak_rss_mb", "alloc_mb", "arena_reuse_pct",
-                         "freeze_s", "save_s", "middle_skip_frac"});
+                         "peak_rss_mb", "freeze_s", "save_s",
+                         "middle_skip_frac"});
 
   const int max_n = bench::env_n(1 << 16);
   const int pool = threaded_pool_size();
@@ -81,23 +80,10 @@ int main() {
       p.k = 3;
       p.seed = 7;
       p.threads = threads;
-      const util::ArenaStats pool_before = util::SlabPool::global().stats();
       const bench::WallTimer t;
       const auto s = core::RoutingScheme::build(g, p);
       const double wall = t.seconds();
       const double rss = peak_rss_mb();
-      const util::ArenaStats pool_after = util::SlabPool::global().stats();
-      // Fresh OS memory the arena pool mapped during this row, and the
-      // fraction of slab bytes it served by recycling instead (the delta
-      // snapshot scoped to this row — util/arena.h).
-      util::ArenaStats row_stats;
-      row_stats.bytes_reused =
-          pool_after.bytes_reused - pool_before.bytes_reused;
-      row_stats.bytes_mapped =
-          pool_after.bytes_mapped - pool_before.bytes_mapped;
-      const double alloc_mb =
-          static_cast<double>(row_stats.bytes_mapped) / (1024.0 * 1024.0);
-      const double reuse_pct = row_stats.reuse_pct();
       double freeze_s = 0, save_s = 0;
       if (threads == pool) {
         const bench::WallTimer tf;
@@ -134,8 +120,6 @@ int main() {
                      util::TextTable::fmt(
                          static_cast<std::int64_t>(s.trees().size())),
                      util::TextTable::fmt(rss),
-                     util::TextTable::fmt(alloc_mb),
-                     util::TextTable::fmt(reuse_pct),
                      util::TextTable::fmt(freeze_s),
                      util::TextTable::fmt(save_s),
                      util::TextTable::fmt(middle_skip_frac)});
@@ -149,8 +133,6 @@ int main() {
           .field("rounds", s.total_rounds())
           .field("trees", static_cast<std::int64_t>(s.trees().size()))
           .field("peak_rss_mb", rss)
-          .field("alloc_mb", alloc_mb)
-          .field("arena_reuse_pct", reuse_pct)
           .field("freeze_s", freeze_s)
           .field("save_s", save_s)
           .field("middle_skip_frac", middle_skip_frac);

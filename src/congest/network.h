@@ -161,9 +161,9 @@ class NodeProgram {
 /// Per-round work is proportional to the number of active links and
 /// scheduled vertices — never to n or m — and steady-state execution
 /// performs no allocation once slab capacities have peaked. Message slabs
-/// and link tables draw from the arena pool (util/arena.h), so consecutive
-/// simulations recycle one another's high-water slabs instead of growing
-/// the heap (DESIGN.md §9).
+/// and link tables are util::Buffer blocks (util/arena.h): grown by
+/// discard-on-grow with power-of-two capacity, never zero-filled
+/// (DESIGN.md §9).
 class Network {
  public:
   struct Options {
@@ -229,8 +229,8 @@ class Network {
   Options opt_;
 
   // Static link topology (CSR-aligned: link = link_offset_[v] + port).
-  util::PooledBuf<std::size_t> link_offset_;  // n+1
-  util::PooledBuf<LinkTarget> target_;        // one per directed link
+  util::Buffer<std::size_t> link_offset_;  // n+1
+  util::Buffer<LinkTarget> target_;        // one per directed link
   // Receiver ranges for pooled delivery: range r is vertices
   // [recv_lo_[r], recv_lo_[r+1]), cut at equal incident-link counts.
   std::vector<graph::Vertex> recv_lo_;
@@ -239,23 +239,23 @@ class Network {
   // grouped by link: link l owns cur_[link_begin_[l] .. +link_count_[l]).
   // Only links listed in active_links_ have nonzero counts; the list is
   // kept ascending across rounds (see the class comment).
-  util::PooledBuf<Message> cur_, next_;
-  util::PooledBuf<std::size_t> link_begin_;
-  util::PooledBuf<std::size_t> next_begin_;
-  util::PooledBuf<std::int32_t> link_count_;
-  util::PooledBuf<std::int32_t> pend_count_;  // this round's staged sends
-  std::vector<std::int32_t> active_links_;    // ascending
-  std::vector<std::int32_t> merged_links_;    // double buffer of the above
+  util::Buffer<Message> cur_, next_;
+  util::Buffer<std::size_t> link_begin_;
+  util::Buffer<std::size_t> next_begin_;
+  util::Buffer<std::int32_t> link_count_;
+  util::Buffer<std::int32_t> pend_count_;  // this round's staged sends
+  std::vector<std::int32_t> active_links_;  // ascending
+  std::vector<std::int32_t> merged_links_;  // double buffer of the above
   std::vector<std::int32_t> sort_scratch_;
-  util::PooledBuf<internal::Delivery> staged_;  // pooled delivery staging
+  util::Buffer<internal::Delivery> staged_;  // pooled delivery staging
 
   // Per-round inbox slab, grouped by receiver.
-  util::PooledBuf<Message> inbox_;
-  util::PooledBuf<std::size_t> inbox_end_;   // per vertex: one past window
-  util::PooledBuf<std::int32_t> inbox_cnt_;  // per vertex: window length
+  util::Buffer<Message> inbox_;
+  util::Buffer<std::size_t> inbox_end_;   // per vertex: one past window
+  util::Buffer<std::int32_t> inbox_cnt_;  // per vertex: window length
   std::vector<graph::Vertex> receivers_;
 
-  util::PooledBuf<char> awake_;
+  util::Buffer<char> awake_;
   std::vector<graph::Vertex> wake_list_;
   std::mutex wake_mu_;
   std::vector<internal::Worker> workers_;  // one per pool worker

@@ -324,8 +324,7 @@ std::vector<ClusterTree> build_large_level_trees(
   // Phase-1 state per (V' index, root slot): b value and virtual parent,
   // in one dense m × r slot arena (b == kDistInf marks "absent"; real b
   // values are finite). Large-level roots lie in V', so r ≤ m and the
-  // arena is O(|V'|²). The slab draws from the arena pool and recycles
-  // across levels and attempts (DESIGN.md §9).
+  // arena is O(|V'|²) (DESIGN.md §9).
   struct VState {
     Dist b = graph::kDistInf;
     int vparent = -1;    // V' index of the virtual parent
@@ -336,7 +335,7 @@ std::vector<ClusterTree> build_large_level_trees(
     return static_cast<std::size_t>(v) * static_cast<std::size_t>(r) +
            static_cast<std::size_t>(s);
   };
-  util::PooledBuf<VState> state;
+  util::Buffer<VState> state;
   state.assign_fill(
       static_cast<std::size_t>(m) * static_cast<std::size_t>(r), VState{});
   std::vector<std::pair<int, int>> frontier;  // (V' index, root slot)
@@ -385,12 +384,11 @@ std::vector<ClusterTree> build_large_level_trees(
   // Candidates are computed from a snapshot of the phase-1 values, applied
   // with min, so the set of final b values is order-independent (paper
   // semantics); tied candidates resolve in the canonical (V' index, slot)
-  // scan order. The snapshot is scoped to this phase: it returns to the
-  // pool before the phase-2 extension allocates, so the two never overlap
-  // in RSS.
+  // scan order. The snapshot is scoped to this phase: it is freed before
+  // the phase-2 extension allocates, so the two never overlap in RSS.
   std::int64_t fixups = 0;
   {
-  util::PooledBuf<VState> snapshot;
+  util::Buffer<VState> snapshot;
   std::memcpy(snapshot.ensure(state.size()), state.data(),
               state.size() * sizeof(VState));
   for (int v = 0; v < m; ++v) {
@@ -426,7 +424,7 @@ std::vector<ClusterTree> build_large_level_trees(
       }
     }
   }
-  }  // snapshot released to the pool here
+  }  // snapshot freed here
   ledger.add("clusters/large level " + std::to_string(level) + " phase1.5",
              congest::CostKind::kAccounted,
              primitives::pipelined_broadcast_rounds(

@@ -7,7 +7,6 @@
 
 #include "graph/properties.h"
 #include "primitives/bfs_tree.h"
-#include "util/arena.h"
 
 namespace nors::core {
 
@@ -158,12 +157,10 @@ RoutingScheme RoutingScheme::build(const graph::WeightedGraph& g,
   tp.threads = params.threads;
   util::Rng tree_rng(tp.seed);
   // Construction scratch (network slabs, detection rows, cluster chains) is
-  // done: hand the pooled slabs back to the OS before the Section-6 batch
-  // grows the scheme to its resident peak (DESIGN.md §9). malloc_trim
-  // returns what the heap itself can release (e.g. growth churn from the
-  // cluster-tree columns) — without it the freed pages stay resident under
-  // the batch's peak.
-  util::SlabPool::global().trim();
+  // done and freed: hand the heap's free pages back to the OS before the
+  // Section-6 batch grows the scheme to its resident peak (DESIGN.md §9).
+  // Without malloc_trim the freed pages (scratch, and growth churn from the
+  // cluster-tree columns) stay resident under the batch's peak.
 #if defined(__GLIBC__)
   ::malloc_trim(0);
 #endif
@@ -200,11 +197,8 @@ RoutingScheme RoutingScheme::build(const graph::WeightedGraph& g,
   // labels) need no build step: they are exactly the member labels of the
   // root's own tree scheme, served via trick_label().
 
-  // Release any remaining pooled construction slabs: the finished scheme
-  // owns its own storage, and a serving process should not keep the
-  // builder's high-water arenas (or the heap's construction churn)
-  // resident.
-  util::SlabPool::global().trim();
+  // The finished scheme owns its own storage: a serving process should not
+  // keep the heap's construction churn resident.
 #if defined(__GLIBC__)
   ::malloc_trim(0);
 #endif

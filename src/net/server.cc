@@ -33,6 +33,11 @@ namespace {
 
 using clock_t_ = std::chrono::steady_clock;
 
+/// Second backpressure bound, beside NetServerOptions::window: when a
+/// connection's pending response bytes exceed this, reading stops until
+/// the client drains them.
+constexpr std::size_t kOutbufLimit = std::size_t{4} << 20;
+
 [[noreturn]] void sys_fail(const char* what) {
   throw std::runtime_error(std::string(what) + ": " +
                            std::strerror(errno));
@@ -248,7 +253,6 @@ struct Server::Impl {
       serve::WalOptions wo;
       wo.fsync = opt.fsync;
       wo.fsync_interval_ms = opt.fsync_interval_ms;
-      wo.segment_bytes = opt.wal_segment_bytes;
       wal = std::make_unique<serve::Wal>(
           opt.wal_dir, wo, [this](const serve::WalRecord& r) {
             auto delta = serve::DeltaSet::apply(
@@ -761,7 +765,7 @@ struct Server::Impl {
         !c->closing && !c->stop_parse &&
         !draining.load(std::memory_order_relaxed) &&
         c->pipeline.size() < static_cast<std::size_t>(opt.window) &&
-        c->out.size() - c->out_off < opt.outbuf_limit;
+        c->out.size() - c->out_off < kOutbufLimit;
     const std::uint32_t mask = (want_read ? EPOLLIN : 0u) |
                                (want_write ? EPOLLOUT : 0u);
     if (mask == c->events) return;
@@ -1370,7 +1374,7 @@ struct Server::Impl {
         // (which tracks responses, bounded by frames_in). A subscriber
         // that stopped reading is cut once its queue passes 4× the
         // outbuf cap — it reconnects and catches up by snapshot.
-        if (c->out.size() - c->out_off > opt.outbuf_limit * 4) {
+        if (c->out.size() - c->out_off > kOutbufLimit * 4) {
           close_conn(l, c);
           continue;
         }
@@ -1433,8 +1437,8 @@ CheckpointAck Server::checkpoint() { return impl_->checkpoint(); }
 WireStats Server::stats() const { return impl_->snapshot_stats(); }
 
 std::size_t Server::delta_bytes() const {
-  const auto g = impl_->current_gen();
-  return g->delta != nullptr ? g->delta->byte_size() : 0;
+  const auto g = impl_->current_gen();  // null once drained
+  return g != nullptr && g->delta != nullptr ? g->delta->byte_size() : 0;
 }
 
 const NetServerOptions& Server::options() const { return impl_->opt; }

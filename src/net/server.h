@@ -38,10 +38,6 @@ struct NetServerOptions {
   /// the server's memory stays bounded per connection.
   int window = 64;
 
-  /// Second backpressure bound: when a connection's pending response
-  /// bytes exceed this, reading stops until the client drains them.
-  std::size_t outbuf_limit = 4u << 20;
-
   /// Graceful-drain deadline: after this many ms, connections that still
   /// cannot flush (a client that stopped reading) are closed anyway so
   /// drain() always terminates.
@@ -98,7 +94,6 @@ struct NetServerOptions {
   std::string wal_dir;
   serve::FsyncPolicy fsync = serve::FsyncPolicy::kAlways;
   std::uint32_t fsync_interval_ms = 100;
-  std::uint64_t wal_segment_bytes = 64ull << 20;
 
   /// Auto-checkpoint cadence: after this many applied batches the server
   /// runs checkpoint() on its own (0 = manual kCheckpoint frames only).

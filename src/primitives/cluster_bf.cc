@@ -140,10 +140,10 @@ class ClusterBfProgram : public congest::NodeProgram {
  private:
   /// Per-vertex contiguous entry block in the executing worker's arena;
   /// doubled on growth (the superseded block stays arena garbage until
-  /// reset — bounded by 2× the final footprint and recycled with the
-  /// pool). A block may outgrow into another worker's arena in a later
-  /// round; every arena lives as long as the program, and flatten() copies
-  /// the entries out in vertex order, so placement never shows.
+  /// the arena is freed — bounded by 2× the final footprint). A block may
+  /// outgrow into another worker's arena in a later round; every arena
+  /// lives as long as the program, and flatten() copies the entries out in
+  /// vertex order, so placement never shows.
   struct List {
     Entry* ptr = nullptr;
     std::int32_t cnt = 0;
@@ -186,10 +186,10 @@ class ClusterBfProgram : public congest::NodeProgram {
   const AdmitFn& admit_;
   const std::vector<Vertex>& roots_;
   std::vector<util::Arena> arenas_;  // entry blocks, one arena per worker
-  util::PooledBuf<std::int32_t> root_slot_;  // graph vertex -> slot, or -1
-  util::PooledBuf<List> list_;               // per-vertex entry block
-  util::PooledBuf<std::int32_t> q_head_, q_tail_;  // per-vertex queue, by
-                                                   // local entry index
+  util::Buffer<std::int32_t> root_slot_;  // graph vertex -> slot, or -1
+  util::Buffer<List> list_;               // per-vertex entry block
+  util::Buffer<std::int32_t> q_head_, q_tail_;  // per-vertex queue, by
+                                                // local entry index
 };
 
 }  // namespace

@@ -20,16 +20,14 @@ using graph::Vertex;
 /// sweep allocates nothing and costs O(region explored), not O(n): between
 /// runs the arrays hold their rest state (inf / kNoPort) and only the
 /// entries named in `touched` are dirty, so each run resets exactly what it
-/// wrote. The n-sized arrays draw from the arena pool, so worker scratch
-/// recycles across calls (per level, per attempt, per bench row) instead of
-/// being reallocated.
+/// wrote.
 struct ScaleScratch {
-  util::PooledBuf<Dist> cur, next;           // committed / tentative, q units
-  util::PooledBuf<std::int32_t> cur_port;    // committed parent port
-  util::PooledBuf<std::int32_t> next_port;   // tentative parent port
+  util::Buffer<Dist> cur, next;          // committed / tentative, q units
+  util::Buffer<std::int32_t> cur_port;   // committed parent port
+  util::Buffer<std::int32_t> next_port;  // tentative parent port
   std::vector<Vertex> frontier, changed;
-  std::vector<Vertex> touched;               // every vertex written this run
-  util::PooledBuf<char> in_touched;
+  std::vector<Vertex> touched;           // every vertex written this run
+  util::Buffer<char> in_touched;
   std::vector<Vertex> sort_scratch;
 
   explicit ScaleScratch(std::size_t n) {
@@ -139,8 +137,7 @@ SweepOutcome run_scale(const graph::WeightedGraph& g, Vertex src,
 /// than a plain Dijkstra. A compact int32 CSR (8 bytes per half edge, port
 /// order preserved) is built once per source_detection call so the sweep's
 /// working set stays cache-resident; everything else resets through
-/// `touched`, so a run costs O(region + max distance), never O(n). All
-/// n- and m-sized arrays draw from the arena pool and recycle across calls.
+/// `touched`, so a run costs O(region + max distance), never O(n).
 struct FastScratch {
   struct Cell {
     std::int32_t dist;   // INT32_MAX at rest
@@ -149,8 +146,8 @@ struct FastScratch {
   struct Cand {  // pending winner for the current tentative value
     std::int32_t layer, u, port_at_u, port;
   };
-  util::PooledBuf<Cell> cell;
-  util::PooledBuf<Cand> cand;  // needs no rest state: improvements reset it
+  util::Buffer<Cell> cell;
+  util::Buffer<Cand> cand;  // needs no rest state: improvements reset it
   std::vector<Vertex> touched;
   std::vector<std::vector<Vertex>> buckets;
   int max_layer = 0;
@@ -159,12 +156,12 @@ struct FastScratch {
   // Compact CSR (built lazily, same indexing as the graph's half edges).
   bool csr_built = false;
   bool csr_ok = false;
-  util::PooledBuf<std::int64_t> off;
+  util::Buffer<std::int64_t> off;
   struct Edge {
     std::int32_t to, w;
   };
-  util::PooledBuf<Edge> edges;
-  util::PooledBuf<std::int32_t> rev;
+  util::Buffer<Edge> edges;
+  util::Buffer<std::int32_t> rev;
 
   explicit FastScratch(std::size_t n) {
     cell.assign_fill(n, {INT32_MAX, -1});
@@ -427,8 +424,8 @@ class Detector {
   struct Worker {
     std::unique_ptr<ScaleScratch> scale;
     std::unique_ptr<FastScratch> fast;
-    util::PooledBuf<Dist> row_d;
-    util::PooledBuf<std::int32_t> row_p;
+    util::Buffer<Dist> row_d;
+    util::Buffer<std::int32_t> row_p;
     int max_iterations = 0;
     // cluster_detection_stream only.
     std::vector<DetectedMember> members;
@@ -638,7 +635,7 @@ class Detector {
   const std::vector<Vertex>& sources_;
   std::int64_t hop_bound_;
   std::vector<Scale> scales_;
-  std::vector<util::PooledBuf<Dist>> wq_;
+  std::vector<util::Buffer<Dist>> wq_;
   std::vector<std::unique_ptr<std::once_flag>> wq_once_;
   bool fast_enabled_ = true;
   int nthreads_ = 1;

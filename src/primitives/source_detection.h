@@ -48,7 +48,7 @@ struct SourceDetectionStats {
 /// Streaming row consumer: called exactly once per source index with that
 /// source's finalized distance/parent-port row (length n, min over scales).
 /// Rows are produced source-major, so the |sources| × n slab is never
-/// materialized — the row buffers recycle through the arena pool
+/// materialized — each pool worker rewrites one row buffer per source
 /// (DESIGN.md §9). With threads > 1 the sink runs concurrently on distinct
 /// source indices from pool workers; it must write only state owned by its
 /// source index. Row contents are bit-identical to the slab-materializing

@@ -1,237 +1,89 @@
 #pragma once
 
-// Reusable pooled arenas for the construction pipeline (DESIGN.md §9).
+// Heap-backed scratch buffers for the construction pipeline (DESIGN.md §9).
 //
-// The construction's dominant allocations are short-lived slabs that recur
-// with the same shape every tree / level / attempt / bench row: source-
-// detection rows, CONGEST message slabs, per-root cluster entry lists, the
-// large-level phase-1 state. Routing them through malloc has two costs at
-// production sizes: the glibc heap never returns fragmented small-object
-// memory to the OS (so peak RSS accumulates across phases), and every phase
-// pays its allocation churn again.
+//   * Buffer<T> — a flat, movable buffer of trivially-copyable T with
+//     discard-on-grow semantics (`ensure`), for the recurring scratch whose
+//     contents are rewritten every round or run: source-detection rows,
+//     CONGEST message and link tables, the large-level phase-1 state.
+//   * Arena — a bump allocator for many small allocations with one
+//     lifetime: cluster BF's per-vertex entry blocks, which are allocated
+//     one small block at a time and all die with the run.
 //
-// SlabPool is a process-wide, size-bucketed free pool of mmap'd slabs:
-// `acquire` reuses a pooled slab of the right power-of-two class or maps a
-// fresh one, `recycle` returns a slab to its bucket, and `trim` hands every
-// pooled (free) slab back to the OS — the eager-release point between
-// phases or rows. Because slabs are mmap'd, trimmed memory leaves RSS
-// immediately instead of lingering in the heap.
-//
-// On top of the pool:
-//   * PooledBuf<T> — a flat, movable buffer of trivially-copyable T with
-//     discard-on-grow semantics (`ensure`), for the recurring slabs whose
-//     contents are rewritten every round/run.
-//   * Arena — a bump allocator with high-water reuse: after `reset()` the
-//     next run's first slab covers the previous run's total footprint, so
-//     steady state performs one pool acquisition per run and no mmap.
-//
-// All pool operations take one global mutex; callers acquire per phase or
-// per growth step, never per element, so contention is negligible. The
-// stats counters feed bench_construction's alloc_mb / arena_reuse_pct
-// columns (bench/results/README.md).
+// Both own plain malloc blocks. Peak memory is set by what the scheme
+// keeps and by its frozen image, not by this scratch; the release points
+// between phases are malloc_trim calls in core/scheme.cc.
 
-#include <sys/mman.h>
-
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
-#include <mutex>
-#include <new>
-#include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
 
 namespace nors::util {
 
-/// Cumulative pool counters (monotone; diff two snapshots to scope a row).
-struct ArenaStats {
-  std::uint64_t bytes_requested = 0;  // sum of acquire() request sizes
-  std::uint64_t bytes_reused = 0;     // served by recycling a pooled slab
-  std::uint64_t bytes_mapped = 0;     // fresh memory obtained from the OS
-  std::uint64_t bytes_trimmed = 0;    // returned to the OS by trim()
-  std::uint64_t slabs_reused = 0;
-  std::uint64_t slabs_mapped = 0;
-
-  /// Fraction of requested bytes served from the pool, in [0, 100].
-  double reuse_pct() const {
-    const double denom = static_cast<double>(bytes_reused + bytes_mapped);
-    if (denom <= 0) return 0.0;
-    return 100.0 * static_cast<double>(bytes_reused) / denom;
-  }
-};
-
-/// Size-bucketed free pool of anonymous mmap slabs. Thread-safe.
-class SlabPool {
- public:
-  struct Slab {
-    void* p = nullptr;
-    std::size_t bytes = 0;  // always a power of two ≥ kMinSlabBytes (or 0)
-  };
-
-  static constexpr std::size_t kMinSlabBytes = std::size_t{1} << 16;  // 64 KiB
-
-  SlabPool() = default;
-  SlabPool(const SlabPool&) = delete;
-  SlabPool& operator=(const SlabPool&) = delete;
-  ~SlabPool() { trim(); }
-
-  /// The process-wide pool every arena defaults to.
-  static SlabPool& global() {
-    static SlabPool pool;
-    return pool;
-  }
-
-  /// A slab of at least `min_bytes`: the exact power-of-two class is reused
-  /// from the pool when available, otherwise freshly mapped.
-  Slab acquire(std::size_t min_bytes) {
-    const std::size_t bytes = slab_bytes(min_bytes);
-    const std::size_t b = bucket_of(bytes);
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      stats_.bytes_requested += min_bytes;
-      if (b < buckets_.size() && !buckets_[b].empty()) {
-        void* p = buckets_[b].back();
-        buckets_[b].pop_back();
-        pooled_bytes_ -= bytes;
-        stats_.bytes_reused += bytes;
-        ++stats_.slabs_reused;
-        return {p, bytes};
-      }
-      stats_.bytes_mapped += bytes;
-      ++stats_.slabs_mapped;
-    }
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    NORS_CHECK_MSG(p != MAP_FAILED, "SlabPool: mmap of " << bytes
-                                                         << " bytes failed");
-    return {p, bytes};
-  }
-
-  /// Returns a slab to its size bucket (kept mapped until trim()).
-  void recycle(Slab s) {
-    if (s.p == nullptr) return;
-    const std::size_t b = bucket_of(s.bytes);
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (buckets_.size() <= b) buckets_.resize(b + 1);
-    buckets_[b].push_back(s.p);
-    pooled_bytes_ += s.bytes;
-  }
-
-  /// Unmaps every pooled (free) slab — the eager-release point between
-  /// phases or bench rows. Returns the number of bytes handed back.
-  std::size_t trim() {
-    std::vector<std::vector<void*>> taken;
-    std::size_t freed = 0;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      taken.swap(buckets_);
-      freed = pooled_bytes_;
-      pooled_bytes_ = 0;
-      stats_.bytes_trimmed += freed;
-    }
-    for (std::size_t b = 0; b < taken.size(); ++b) {
-      for (void* p : taken[b]) {
-        ::munmap(p, kMinSlabBytes << b);
-      }
-    }
-    return freed;
-  }
-
-  ArenaStats stats() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-
-  /// Bytes currently held in free buckets (mapped but unused).
-  std::size_t pooled_bytes() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return pooled_bytes_;
-  }
-
- private:
-  static std::size_t slab_bytes(std::size_t min_bytes) {
-    std::size_t bytes = kMinSlabBytes;
-    while (bytes < min_bytes) bytes <<= 1;
-    return bytes;
-  }
-  static std::size_t bucket_of(std::size_t bytes) {
-    std::size_t b = 0;
-    while ((kMinSlabBytes << b) < bytes) ++b;
-    return b;
-  }
-
-  mutable std::mutex mu_;
-  std::vector<std::vector<void*>> buckets_;  // buckets_[b]: 64KiB << b slabs
-  std::size_t pooled_bytes_ = 0;
-  ArenaStats stats_;
-};
-
-/// A flat buffer of trivially-copyable T over one pool slab. Move-only.
-/// `ensure(n)` discards contents (the recurring-slab pattern: every round or
-/// run rewrites the buffer in full); `grow_preserve` keeps a prefix. The
-/// slab returns to the pool on release/destruction.
+/// A flat buffer of trivially-copyable T over one heap block. Move-only.
+/// `ensure(n)` discards contents (every round or run rewrites the buffer in
+/// full, so growth copies nothing and fills nothing); `grow_preserve`
+/// keeps a prefix. Capacity rounds up to a power of two of bytes, so a
+/// buffer that grows step by step reallocates O(log) times.
 template <typename T>
-class PooledBuf {
+class Buffer {
   static_assert(std::is_trivially_copyable_v<T> &&
                     std::is_trivially_destructible_v<T>,
-                "PooledBuf requires trivially copyable contents");
+                "Buffer requires trivially copyable contents");
+  static_assert(alignof(T) <= alignof(std::max_align_t));
 
  public:
-  PooledBuf() : pool_(&SlabPool::global()) {}
-  explicit PooledBuf(SlabPool& pool) : pool_(&pool) {}
-  PooledBuf(const PooledBuf&) = delete;
-  PooledBuf& operator=(const PooledBuf&) = delete;
-  PooledBuf(PooledBuf&& o) noexcept
-      : pool_(o.pool_), slab_(o.slab_), size_(o.size_) {
-    o.slab_ = {};
-    o.size_ = 0;
-  }
-  PooledBuf& operator=(PooledBuf&& o) noexcept {
+  Buffer() = default;
+  Buffer(const Buffer&) = delete;
+  Buffer& operator=(const Buffer&) = delete;
+  Buffer(Buffer&& o) noexcept { swap(o); }
+  Buffer& operator=(Buffer&& o) noexcept {
     if (this != &o) {
       release();
-      pool_ = o.pool_;
-      slab_ = o.slab_;
-      size_ = o.size_;
-      o.slab_ = {};
-      o.size_ = 0;
+      swap(o);
     }
     return *this;
   }
-  ~PooledBuf() { release(); }
+  ~Buffer() { release(); }
 
-  T* data() { return static_cast<T*>(slab_.p); }
-  const T* data() const { return static_cast<const T*>(slab_.p); }
+  T* data() { return p_; }
+  const T* data() const { return p_; }
   std::size_t size() const { return size_; }
-  std::size_t capacity() const { return slab_.bytes / sizeof(T); }
+  std::size_t capacity() const { return cap_; }
   bool empty() const { return size_ == 0; }
-  T& operator[](std::size_t i) { return data()[i]; }
-  const T& operator[](std::size_t i) const { return data()[i]; }
-  std::span<T> span() { return {data(), size_}; }
-  std::span<const T> span() const { return {data(), size_}; }
+  T& operator[](std::size_t i) { return p_[i]; }
+  const T& operator[](std::size_t i) const { return p_[i]; }
 
   /// Capacity for n elements, contents unspecified; size becomes n.
   T* ensure(std::size_t n) {
-    if (capacity() < n) {
-      pool_->recycle(slab_);
-      slab_ = pool_->acquire(n * sizeof(T));
+    if (cap_ < n) {
+      release();
+      p_ = allocate(n, cap_);
     }
     size_ = n;
-    return data();
+    return p_;
   }
 
   /// Capacity for n, preserving the first min(size, n) elements.
   T* grow_preserve(std::size_t n) {
-    if (capacity() < n) {
-      SlabPool::Slab bigger = pool_->acquire(n * sizeof(T));
-      if (size_ > 0) {
-        std::memcpy(bigger.p, slab_.p, size_ * sizeof(T));
-      }
-      pool_->recycle(slab_);
-      slab_ = bigger;
+    if (cap_ < n) {
+      std::size_t cap = 0;
+      T* bigger = allocate(n, cap);
+      if (size_ > 0) std::memcpy(bigger, p_, size_ * sizeof(T));
+      std::free(p_);
+      p_ = bigger;
+      cap_ = cap;
     }
     size_ = n;
-    return data();
+    return p_;
   }
 
   /// ensure(n) then fill with `value` (the assign(n, v) pattern).
@@ -243,34 +95,44 @@ class PooledBuf {
 
   void clear() { size_ = 0; }
 
-  void swap(PooledBuf& o) noexcept {
-    std::swap(pool_, o.pool_);
-    std::swap(slab_, o.slab_);
+  void swap(Buffer& o) noexcept {
+    std::swap(p_, o.p_);
+    std::swap(cap_, o.cap_);
     std::swap(size_, o.size_);
   }
 
-  /// Returns the slab to the pool (the buffer becomes empty).
+  /// Frees the block (the buffer becomes empty).
   void release() {
-    pool_->recycle(slab_);
-    slab_ = {};
+    std::free(p_);
+    p_ = nullptr;
+    cap_ = 0;
     size_ = 0;
   }
 
  private:
-  SlabPool* pool_;
-  SlabPool::Slab slab_;
+  static T* allocate(std::size_t n, std::size_t& cap) {
+    const std::size_t bytes = std::bit_ceil(n * sizeof(T));
+    void* p = std::malloc(bytes);
+    NORS_CHECK_MSG(p != nullptr, "Buffer: malloc of " << bytes
+                                                      << " bytes failed");
+    cap = bytes / sizeof(T);
+    return static_cast<T*>(p);
+  }
+
+  T* p_ = nullptr;
+  std::size_t cap_ = 0;
   std::size_t size_ = 0;
 };
 
-/// Bump allocator over pool slabs for many small allocations with one
-/// lifetime (e.g. the per-vertex cluster entry chunks of one CONGEST run).
-/// Not thread-safe; alignment up to alignof(std::max_align_t). reset()
-/// recycles every slab and remembers the high-water footprint, so the next
-/// run starts with a single slab that covers it — steady state costs one
-/// pool acquisition per run.
+/// Bump allocator over heap chunks for many small allocations with one
+/// lifetime (e.g. the per-vertex cluster entry blocks of one CONGEST run).
+/// An allocation never moves. Not thread-safe; alignment up to
+/// alignof(std::max_align_t). Each new chunk is at least as large as
+/// everything handed out so far, so a run allocates O(log) chunks.
+/// reset() frees every chunk.
 class Arena {
  public:
-  explicit Arena(SlabPool& pool = SlabPool::global()) : pool_(&pool) {}
+  Arena() = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
   ~Arena() { reset(); }
@@ -285,8 +147,8 @@ class Arena {
     std::size_t pad = cur_ % alignof(T);
     if (pad != 0) pad = alignof(T) - pad;
     if (cur_ + pad + bytes > end_) {
-      new_slab(bytes);
-      pad = 0;  // fresh slabs are page-aligned
+      new_chunk(bytes);
+      pad = 0;  // malloc aligns for max_align_t
     }
     T* p = reinterpret_cast<T*>(cur_ + pad);
     cur_ += pad + bytes;
@@ -294,36 +156,33 @@ class Arena {
     return p;
   }
 
-  /// Recycles every slab into the pool; the high-water total is remembered
-  /// so the next allocation acquires one slab covering it.
+  /// Frees every chunk; the arena is empty and reusable.
   void reset() {
-    for (const SlabPool::Slab& s : slabs_) pool_->recycle(s);
-    slabs_.clear();
-    high_water_ = std::max(high_water_, used_);
+    for (void* c : chunks_) std::free(c);
+    chunks_.clear();
     used_ = 0;
     cur_ = end_ = 0;
   }
 
-  /// Bytes handed out since the last reset (excluding slab slack).
+  /// Bytes handed out since the last reset (excluding chunk slack).
   std::size_t used_bytes() const { return used_; }
 
  private:
-  void new_slab(std::size_t min_bytes) {
-    // First slab after a reset covers the high-water mark; growth beyond it
-    // doubles so a run allocates O(log) slabs while it discovers its size.
-    std::size_t want = slabs_.empty()
-                           ? std::max(high_water_, min_bytes)
-                           : std::max(used_ , min_bytes);
-    slabs_.push_back(pool_->acquire(std::max(want, min_bytes)));
-    cur_ = reinterpret_cast<std::uintptr_t>(slabs_.back().p);
-    end_ = cur_ + slabs_.back().bytes;
+  static constexpr std::size_t kMinChunkBytes = std::size_t{1} << 16;
+
+  void new_chunk(std::size_t min_bytes) {
+    const std::size_t bytes = std::max({kMinChunkBytes, used_, min_bytes});
+    void*& chunk = chunks_.emplace_back(nullptr);
+    chunk = std::malloc(bytes);
+    NORS_CHECK_MSG(chunk != nullptr, "Arena: malloc of " << bytes
+                                                         << " bytes failed");
+    cur_ = reinterpret_cast<std::uintptr_t>(chunk);
+    end_ = cur_ + bytes;
   }
 
-  SlabPool* pool_;
-  std::vector<SlabPool::Slab> slabs_;
+  std::vector<void*> chunks_;
   std::uintptr_t cur_ = 0, end_ = 0;
   std::size_t used_ = 0;
-  std::size_t high_water_ = 0;
 };
 
 }  // namespace nors::util

@@ -43,45 +43,10 @@ inline int resolve_threads(int requested) {
   return std::max(1, t);
 }
 
-/// Runs `body(worker, index)` for every index in [0, count) across
-/// `nthreads` workers claiming indices from one atomic counter. `worker`
-/// is the dense worker id (0..nthreads-1) for per-worker scratch; the
-/// first exception any worker throws is rethrown after all have joined.
-/// nthreads <= 1 runs inline with worker id 0. Callers are responsible
-/// for determinism: body(., i) must write only state owned by index i.
-template <typename Body>
-void parallel_for(int nthreads, std::size_t count, Body&& body) {
-  if (nthreads <= 1 || count < 2) {
-    for (std::size_t i = 0; i < count; ++i) body(0, i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nthreads));
-  auto worker = [&](int t) {
-    try {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) break;
-        body(t, i);
-      }
-    } catch (...) {
-      errors[static_cast<std::size_t>(t)] = std::current_exception();
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(nthreads) - 1);
-  for (int t = 1; t < nthreads; ++t) pool.emplace_back(worker, t);
-  worker(0);
-  for (auto& th : pool) th.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
-
 /// A fixed team of `size` workers for a sequence of short parallel phases
-/// (the CONGEST round barrier, the freeze passes). The caller is worker 0;
-/// the other size-1 threads start in the constructor, park between phases
-/// (await_change on the phase counter) and are joined
+/// (the CONGEST round barrier, the freeze passes, parallel_for). The
+/// caller is worker 0; the other size-1 threads start in the constructor,
+/// park between phases (await_change on the phase counter) and are joined
 /// by the destructor, so no team thread outlives its owner's scope.
 /// run(body) calls body(t) once for every t in [0, size) and returns when
 /// all have finished, rethrowing the first exception (lowest t) any threw.
@@ -181,5 +146,28 @@ class WorkerTeam {
   std::vector<std::exception_ptr> errors_;
   std::vector<std::thread> threads_;
 };
+
+/// Runs `body(worker, index)` for every index in [0, count) on a
+/// WorkerTeam of `nthreads` workers claiming indices from one atomic
+/// counter. `worker` is the dense worker id (0..nthreads-1) for per-worker
+/// scratch; the first exception (lowest worker id) any worker throws is
+/// rethrown after all have finished. nthreads <= 1 runs inline with worker
+/// id 0. Callers are responsible for determinism: body(., i) must write
+/// only state owned by index i.
+template <typename Body>
+void parallel_for(int nthreads, std::size_t count, Body&& body) {
+  if (nthreads <= 1 || count < 2) {
+    for (std::size_t i = 0; i < count; ++i) body(0, i);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  WorkerTeam team(nthreads);
+  team.run([&](int t) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(t, i);
+    }
+  });
+}
 
 }  // namespace nors::util

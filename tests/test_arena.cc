@@ -5,116 +5,72 @@
 
 #include "util/arena.h"
 
-// util/arena.h (DESIGN.md §9): the size-bucketed slab pool, the flat
-// PooledBuf and the bump Arena. The properties pinned here are the ones the
-// construction pipeline relies on: recycling (a released slab serves the
-// next same-class request without new OS memory), high-water reuse after
-// Arena::reset, alignment of bump allocations, trim actually releasing, and
-// stat counters that account every byte — plus enough pointer traffic that
-// the NORS_SANITIZE CI leg would catch any lifetime or bounds mistake.
+// util/arena.h (DESIGN.md §9): the flat Buffer and the bump Arena. The
+// properties pinned here are the ones the construction pipeline relies on:
+// grow_preserve keeps its prefix, moves transfer ownership, bump
+// allocations are aligned, and an arena is reusable after reset — plus
+// enough pointer traffic that the NORS_SANITIZE CI leg would catch any
+// lifetime or bounds mistake.
 
 namespace nors {
 namespace {
 
-TEST(SlabPool, RoundsUpToPowerOfTwoClasses) {
-  util::SlabPool pool;
-  const auto a = pool.acquire(1);
-  EXPECT_EQ(a.bytes, util::SlabPool::kMinSlabBytes);
-  const auto b = pool.acquire(util::SlabPool::kMinSlabBytes + 1);
-  EXPECT_EQ(b.bytes, 2 * util::SlabPool::kMinSlabBytes);
-  pool.recycle(a);
-  pool.recycle(b);
-}
-
-TEST(SlabPool, RecyclesExactClassAndCountsReuse) {
-  util::SlabPool pool;
-  auto s = pool.acquire(3 * util::SlabPool::kMinSlabBytes);  // 256 KiB class
-  void* const p = s.p;
-  const std::size_t bytes = s.bytes;
-  pool.recycle(s);
-  EXPECT_EQ(pool.pooled_bytes(), bytes);
-
-  // Same class: served by the pooled slab, same pointer, no fresh mapping.
-  const auto before = pool.stats();
-  auto again = pool.acquire(bytes);
-  const auto after = pool.stats();
-  EXPECT_EQ(again.p, p);
-  EXPECT_EQ(after.slabs_mapped, before.slabs_mapped);
-  EXPECT_EQ(after.slabs_reused, before.slabs_reused + 1);
-  EXPECT_EQ(after.bytes_reused - before.bytes_reused, bytes);
-
-  // Different class: pooled slab does not satisfy it.
-  auto bigger = pool.acquire(2 * bytes);
-  EXPECT_NE(bigger.p, nullptr);
-  EXPECT_EQ(pool.stats().slabs_mapped, before.slabs_mapped + 1);
-  pool.recycle(again);
-  pool.recycle(bigger);
-}
-
-TEST(SlabPool, TrimReleasesAllPooledBytes) {
-  util::SlabPool pool;
-  auto a = pool.acquire(util::SlabPool::kMinSlabBytes);
-  auto b = pool.acquire(4 * util::SlabPool::kMinSlabBytes);
-  const std::size_t total = a.bytes + b.bytes;
-  pool.recycle(a);
-  pool.recycle(b);
-  EXPECT_EQ(pool.pooled_bytes(), total);
-  EXPECT_EQ(pool.trim(), total);
-  EXPECT_EQ(pool.pooled_bytes(), 0u);
-  EXPECT_EQ(pool.stats().bytes_trimmed, total);
-  // The pool still works after a trim.
-  auto c = pool.acquire(1);
-  EXPECT_NE(c.p, nullptr);
-  std::memset(c.p, 0xAB, c.bytes);  // and the memory is writable
-  pool.recycle(c);
-}
-
-TEST(PooledBuf, EnsureDiscardsAndGrowPreserves) {
-  util::SlabPool pool;
-  util::PooledBuf<std::int64_t> buf(pool);
+TEST(Buffer, EnsureDiscardsAndGrowPreserves) {
+  util::Buffer<std::int64_t> buf;
+  EXPECT_TRUE(buf.empty());
   std::int64_t* p = buf.ensure(100);
   for (int i = 0; i < 100; ++i) p[i] = i;
   ASSERT_EQ(buf.size(), 100u);
+  EXPECT_GE(buf.capacity(), 100u);
 
-  // grow_preserve keeps the prefix across a slab change.
-  const std::size_t grow_to = 2 * util::SlabPool::kMinSlabBytes;  // elements
+  // ensure within capacity keeps the block.
+  EXPECT_EQ(buf.ensure(50), p);
+  ASSERT_EQ(buf.size(), 50u);
+
+  // grow_preserve keeps the prefix across a reallocation.
+  buf.ensure(100);
+  const std::size_t grow_to = std::size_t{1} << 17;
   buf.grow_preserve(grow_to);
   ASSERT_EQ(buf.size(), grow_to);
+  EXPECT_GE(buf.capacity(), grow_to);
   for (int i = 0; i < 100; ++i) {
     ASSERT_EQ(buf[static_cast<std::size_t>(i)], i) << i;
   }
+  buf[grow_to - 1] = -1;
 
   // assign_fill overwrites everything.
   buf.assign_fill(64, std::int64_t{7});
   ASSERT_EQ(buf.size(), 64u);
   for (std::size_t i = 0; i < 64; ++i) ASSERT_EQ(buf[i], 7);
 
-  // release returns the slab; the next ensure reuses it from the pool.
-  const std::size_t pooled_before = pool.pooled_bytes();
+  // release empties the buffer; it is usable again afterwards.
   buf.release();
-  EXPECT_GT(pool.pooled_bytes(), pooled_before);
-  const auto stats_before = pool.stats();
-  buf.ensure(32);
-  EXPECT_EQ(pool.stats().slabs_mapped, stats_before.slabs_mapped);
+  EXPECT_TRUE(buf.empty());
+  EXPECT_EQ(buf.capacity(), 0u);
+  buf.assign_fill(32, std::int64_t{5});
+  EXPECT_EQ(buf[31], 5);
 }
 
-TEST(PooledBuf, MoveTransfersOwnership) {
-  util::SlabPool pool;
-  util::PooledBuf<int> a(pool);
+TEST(Buffer, MoveTransfersOwnership) {
+  util::Buffer<int> a;
   a.assign_fill(10, 3);
-  util::PooledBuf<int> b(std::move(a));
+  util::Buffer<int> b(std::move(a));
   ASSERT_EQ(b.size(), 10u);
   EXPECT_EQ(b[9], 3);
   EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move): spec'd empty
-  util::PooledBuf<int> c(pool);
+  util::Buffer<int> c;
+  c.assign_fill(4, 1);
   c = std::move(b);
   ASSERT_EQ(c.size(), 10u);
   EXPECT_EQ(c[0], 3);
+  c.swap(a);
+  EXPECT_EQ(c.size(), 0u);
+  ASSERT_EQ(a.size(), 10u);
+  EXPECT_EQ(a[5], 3);
 }
 
 TEST(Arena, AlignsEveryAllocation) {
-  util::SlabPool pool;
-  util::Arena arena(pool);
+  util::Arena arena;
   char* c = arena.alloc<char>(3);
   std::memset(c, 1, 3);
   double* d = arena.alloc<double>(4);
@@ -129,67 +85,28 @@ TEST(Arena, AlignsEveryAllocation) {
   EXPECT_EQ(*c2, 9);
 }
 
-TEST(Arena, ResetHighWaterReuse) {
-  util::SlabPool pool;
-  util::Arena arena(pool);
-  // Run 1 discovers its size across several doubling slabs.
-  const std::size_t chunk = util::SlabPool::kMinSlabBytes / 2;
+TEST(Arena, ReusableAfterReset) {
+  util::Arena arena;
+  // Several chunks' worth, so the run crosses chunk boundaries; earlier
+  // allocations must keep their contents while later ones are handed out.
+  const std::size_t chunk = std::size_t{1} << 15;
   const auto one_run = [&] {
+    char* blocks[9];
     for (int i = 0; i < 9; ++i) {
-      char* p = arena.alloc<char>(chunk);
-      std::memset(p, i, chunk);
+      blocks[i] = arena.alloc<char>(chunk);
+      std::memset(blocks[i], i, chunk);
+    }
+    for (int i = 0; i < 9; ++i) {
+      ASSERT_EQ(blocks[i][0], i);
+      ASSERT_EQ(blocks[i][chunk - 1], i);
     }
   };
   one_run();
-  const std::size_t used = arena.used_bytes();
-  EXPECT_GE(used, 9 * chunk);
+  EXPECT_GE(arena.used_bytes(), 9 * chunk);
   arena.reset();
   EXPECT_EQ(arena.used_bytes(), 0u);
-
-  // Run 2 consolidates: the first slab is sized to the high-water mark, so
-  // the whole run fits in one slab (its class may be freshly mapped once).
-  const auto before2 = pool.stats();
   one_run();
-  EXPECT_EQ(pool.stats().slabs_mapped + pool.stats().slabs_reused,
-            before2.slabs_mapped + before2.slabs_reused + 1);
-  arena.reset();
-
-  // Steady state from run 3: one slab acquisition, served from the pool —
-  // no fresh OS memory.
-  const auto before3 = pool.stats();
-  one_run();
-  const auto after3 = pool.stats();
-  EXPECT_EQ(after3.slabs_mapped, before3.slabs_mapped);
-  EXPECT_EQ(after3.slabs_reused, before3.slabs_reused + 1);
-  arena.reset();
-}
-
-TEST(Arena, DestructorRecyclesIntoPool) {
-  util::SlabPool pool;
-  {
-    util::Arena arena(pool);
-    arena.alloc<int>(1000);
-    EXPECT_EQ(pool.pooled_bytes(), 0u);
-  }
-  EXPECT_GT(pool.pooled_bytes(), 0u);
-  pool.trim();
-}
-
-TEST(ArenaStats, ReusePctAccountsServedBytes) {
-  util::ArenaStats s;
-  EXPECT_EQ(s.reuse_pct(), 0.0);
-  s.bytes_reused = 300;
-  s.bytes_mapped = 100;
-  EXPECT_DOUBLE_EQ(s.reuse_pct(), 75.0);
-}
-
-TEST(GlobalPool, IsSharedAndUsable) {
-  auto& pool = util::SlabPool::global();
-  util::PooledBuf<int> buf;  // defaults to the global pool
-  buf.assign_fill(17, 42);
-  EXPECT_EQ(buf[16], 42);
-  buf.release();
-  EXPECT_GE(pool.stats().bytes_requested, 17 * sizeof(int));
+  EXPECT_GE(arena.used_bytes(), 9 * chunk);
 }
 
 }  // namespace

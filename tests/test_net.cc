@@ -344,6 +344,23 @@ TEST(NetDrain, DrainForcedCloseAfterDeadlineExpires) {
   ::close(fd);
 }
 
+// ---- a drained server still answers its accessors ----------------------
+
+TEST(NetDrain, AccessorsAfterDrainSeeNoGeneration) {
+  const auto g = family_graph(0, 83);
+  net::Server server(build_frozen(g, 2, 29), net::NetServerOptions{});
+  const graph::HalfEdge& he = g.neighbors(0)[0];
+  const serve::EdgeUpdate up = serve::EdgeUpdate::weight(0, he.to, he.w * 2);
+  server.apply_updates({&up, 1});
+  EXPECT_GT(server.delta_bytes(), 0u);
+
+  server.drain();
+  // drain() retires the serving generation; the accessors must not follow
+  // it.
+  EXPECT_EQ(server.delta_bytes(), 0u);
+  EXPECT_EQ(server.stats().updates, 1);
+}
+
 // ---- live reload: responses are never dropped or torn ------------------
 
 TEST(NetReload, SwapNeverTearsAResponse) {

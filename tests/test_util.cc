@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/latency.h"
@@ -11,6 +16,7 @@
 #include "util/simd.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/threads.h"
 
 namespace nors {
 namespace {
@@ -203,6 +209,36 @@ TEST(Table, RendersAlignedCells) {
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("22"), std::string::npos);
   EXPECT_THROW(t.add_row({"only-one"}), std::logic_error);
+}
+
+TEST(ParallelFor, ClaimsEveryIndexOnce) {
+  constexpr std::size_t kCount = 10000;
+  std::vector<std::atomic<int>> hits(kCount);
+  std::atomic<bool> bad_worker{false};
+  util::parallel_for(4, kCount, [&](int t, std::size_t i) {
+    if (t < 0 || t >= 4) bad_worker = true;
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_FALSE(bad_worker);
+  for (std::size_t i = 0; i < kCount; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ParallelFor, RethrowsWorkerZerosExceptionAfterAllFinish) {
+  // Every worker throws on the first index it claims, so all four throw;
+  // the rethrown one must be worker 0's, and only once nobody still runs.
+  std::atomic<int> running{0};
+  try {
+    util::parallel_for(4, 1000, [&](int t, std::size_t) {
+      running.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      running.fetch_sub(1);
+      throw std::runtime_error(std::to_string(t));
+    });
+    FAIL() << "parallel_for swallowed the exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "0");
+  }
+  EXPECT_EQ(running.load(), 0);
 }
 
 }  // namespace
