@@ -92,9 +92,9 @@ Preprocess build_preprocess(const graph::WeightedGraph& g,
   // the effective β becomes G''s shortest-path hop diameter (up to m), the
   // exploration regime of [LP15] that the paper's hopsets shorten.
   if (params.use_hopset) {
-    hopset::HopsetParams hp{util::Epsilon(eps.num(), 3 * eps.den()),
-                            params.hopset_levels, rng.next(),
-                            std::max(1.0 / k, 0.25)};
+    hopset::HopsetParams hp{.eps = util::Epsilon(eps.num(), 3 * eps.den()),
+                            .seed = rng.next(),
+                            .rho = std::max(1.0 / k, 0.25)};
     pre.hs = hopset::build_hopset(pre.gprime, hp, bfs_height);
     ledger.add("preprocess/hopset", congest::CostKind::kAccounted,
                pre.hs.round_cost, 0,

@@ -29,9 +29,6 @@ struct SchemeParams {
   /// root (the TZ01 trick) — improves stretch 4k-3 → 4k-5.
   bool label_trick = true;
 
-  /// Hierarchy levels of the hopset's internal TZ sampling.
-  int hopset_levels = 2;
-
   /// CONGEST per-edge capacity (1 = the standard model).
   int edge_capacity = 1;
 
@@ -47,9 +44,6 @@ struct SchemeParams {
   /// Retries with doubled hop bound B if top-level tree coverage fails
   /// (possible when the whp hitting event of Claim 3 does not materialize).
   int max_b_retries = 3;
-
-  /// γ override for the Section-6 tree-routing batch (0 = Remark 3 choice).
-  double tree_gamma = 0;
 
   /// §3.2 "The middle level": for odd k, build level (k-1)/2 via Theorem-1
   /// source detection instead of plain Bellman–Ford. Disable to measure the

@@ -152,7 +152,6 @@ RoutingScheme RoutingScheme::build(const graph::WeightedGraph& g,
     specs.push_back(to_spec(s.trees_[i]));
   }
   treeroute::DistTreeBatchParams tp;
-  tp.gamma = params.tree_gamma;
   tp.seed = rng.next();
   tp.threads = params.threads;
   util::Rng tree_rng(tp.seed);

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -56,14 +57,21 @@ void raise_max(std::atomic<std::int64_t>& a, std::int64_t v) {
   }
 }
 
-/// Splits "host:port" (empty host = loopback) for --replica-of.
+/// Splits "host:port" (empty host = loopback) for --replica-of; the port
+/// must be a decimal in 1..65535.
 std::pair<std::string, int> parse_host_port(const std::string& s) {
   const auto colon = s.rfind(':');
-  NORS_CHECK_MSG(colon != std::string::npos && colon + 1 < s.size(),
-                 "expected HOST:PORT, got: " << s);
+  int port = 0;
+  bool ok = colon != std::string::npos;
+  if (ok) {
+    const char* end = s.data() + s.size();
+    const auto [stop, ec] = std::from_chars(s.data() + colon + 1, end, port);
+    ok = ec == std::errc() && stop == end && port >= 1 && port <= 65535;
+  }
+  NORS_CHECK_MSG(ok, "expected HOST:PORT with a port in 1..65535, got: " << s);
   std::string host = s.substr(0, colon);
   if (host.empty()) host = "127.0.0.1";
-  return {host, std::stoi(s.substr(colon + 1))};
+  return {host, port};
 }
 
 }  // namespace
@@ -173,6 +181,7 @@ struct Server::Impl {
 
   // ------------------------------------------------------------- state --
   NetServerOptions opt;
+  std::pair<std::string, int> primary;  // parsed opt.replica_of
   int listen_fd = -1;
   int bound_port = 0;
   std::shared_ptr<Inbox> accept_inbox = std::make_shared<Inbox>();
@@ -240,6 +249,9 @@ struct Server::Impl {
   // ---------------------------------------------------------- lifecycle --
   Impl(serve::FrozenScheme fs, NetServerOptions o) : opt(std::move(o)) {
     NORS_CHECK_MSG(opt.window >= 1, "window must be >= 1");
+    // A bad --replica-of must fail the boot, not back off forever in the
+    // follower thread.
+    if (!opt.replica_of.empty()) primary = parse_host_port(opt.replica_of);
     gen = std::make_shared<Gen>(std::move(fs), opt);
     all_gens.push_back(gen);
 
@@ -567,10 +579,9 @@ struct Server::Impl {
   }
 
   void follow_once(int& backoff_ms) {
-    const auto [phost, pport] = parse_host_port(opt.replica_of);
     ClientOptions copt;
-    copt.host = phost;
-    copt.port = pport;
+    copt.host = primary.first;
+    copt.port = primary.second;
     copt.request_timeout_ms = 250;  // doubles as the draining poll tick
     Client cli(copt);
     std::uint64_t have = 0;

@@ -110,7 +110,8 @@ struct NetServerOptions {
   /// its own WAL when one is configured), serves reads, and rejects
   /// client kUpdate frames with kReadOnly. Reconnects with backoff; a gap
   /// in the stream forces a fresh subscribe, which catches up via a
-  /// snapshot batch.
+  /// snapshot batch. A malformed value (no ':', or a port outside
+  /// 1..65535) makes the Server constructor throw.
   std::string replica_of;
 };
 
@@ -118,7 +119,7 @@ struct NetServerOptions {
 /// one acceptor plus `loops` epoll event loops (level-triggered), each
 /// owning its connections outright, over a ShardedRouteServer per image
 /// generation. Route frames are decoded, validated and submitted
-/// asynchronously (serve/shard.h's completion-callback submit); the
+/// asynchronously (serve/shard.h's submit with an on_complete hook); the
 /// answering shard worker wakes the owning loop through an eventfd, and
 /// responses are written strictly in per-connection request order, so a
 /// pipelining client needs no correlation logic. Hello/label/stats frames

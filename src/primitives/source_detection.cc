@@ -1,7 +1,6 @@
 #include "primitives/source_detection.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 
@@ -433,8 +432,10 @@ class Detector {
   };
 
   Detector(const graph::WeightedGraph& g, const std::vector<Vertex>& sources,
-           std::int64_t hop_bound, const util::Epsilon& eps, int threads)
-      : g_(g), sources_(sources), hop_bound_(hop_bound) {
+           std::int64_t hop_bound, const util::Epsilon& eps, int threads,
+           bool fast_paths)
+      : g_(g), sources_(sources), hop_bound_(hop_bound),
+        fast_enabled_(fast_paths) {
     NORS_CHECK(!sources.empty());
     NORS_CHECK(hop_bound >= 1);
     const auto n = static_cast<std::size_t>(g.n());
@@ -458,14 +459,6 @@ class Detector {
     }
     outcomes0_.reserve(scales_.size());
 
-    // Validation escape hatch: NORS_SD_DISABLE_FAST=1 forces every sweep
-    // through the reference Bellman–Ford (and every cluster source through
-    // the full stream). The fast paths are *defined* as bit-identical to
-    // the sweep; test_primitives pins the equivalence by diffing results
-    // across this knob.
-    const char* no_fast = std::getenv("NORS_SD_DISABLE_FAST");
-    fast_enabled_ = no_fast == nullptr || std::atoi(no_fast) == 0;
-
     // Worker arenas: sources are independent — each owns its sink slot and
     // its own bookkeeping — so the pool size changes wall-clock only; the
     // serial folds consume per-worker records in a fixed order.
@@ -484,7 +477,6 @@ class Detector {
   int nthreads() const { return nthreads_; }
   Worker& worker(int t) { return workers_[static_cast<std::size_t>(t)]; }
   const std::vector<Worker>& workers() const { return workers_; }
-  bool fast_enabled() const { return fast_enabled_; }
   /// The first scale's window when it is exact (q = 1), else -1.
   Dist first_exact_cap() const {
     return scales_[0].q == 1 ? scales_[0].cap : -1;
@@ -637,7 +629,7 @@ class Detector {
   std::vector<Scale> scales_;
   std::vector<util::Buffer<Dist>> wq_;
   std::vector<std::unique_ptr<std::once_flag>> wq_once_;
-  bool fast_enabled_ = true;
+  bool fast_enabled_;  // false: every exact scale runs the reference sweep
   int nthreads_ = 1;
   std::vector<Worker> workers_;
   std::vector<SweepOutcome> outcomes0_;
@@ -648,8 +640,8 @@ class Detector {
 SourceDetectionStats source_detection_stream(
     const graph::WeightedGraph& g, const std::vector<Vertex>& sources,
     std::int64_t hop_bound, const util::Epsilon& eps, int bfs_height,
-    int threads, const SourceRowSink& sink) {
-  Detector det(g, sources, hop_bound, eps, threads);
+    int threads, const SourceRowSink& sink, bool fast_paths) {
+  Detector det(g, sources, hop_bound, eps, threads, fast_paths);
   const auto n = static_cast<std::size_t>(g.n());
   util::parallel_for(det.nthreads(), sources.size(),
                      [&](int t, std::size_t si) {
@@ -669,9 +661,9 @@ ClusterDetectionStats cluster_detection_stream(
     int threads, std::span<const Dist> join_bound, const ClusterSink& sink) {
   const auto n = static_cast<std::size_t>(g.n());
   NORS_CHECK(join_bound.size() == n);
-  Detector det(g, sources, hop_bound, eps, threads);
+  Detector det(g, sources, hop_bound, eps, threads, /*fast_paths=*/true);
   const Dist cap = det.first_exact_cap();
-  const bool prune = det.fast_enabled() && cap >= 0;
+  const bool prune = cap >= 0;
   util::parallel_for(det.nthreads(), sources.size(), [&](int t,
                                                          std::size_t si) {
     Detector::Worker& w = det.worker(t);
@@ -712,7 +704,7 @@ ClusterDetectionStats cluster_detection_stream(
 SourceDetectionResult source_detection(
     const graph::WeightedGraph& g, const std::vector<Vertex>& sources,
     std::int64_t hop_bound, const util::Epsilon& eps, int bfs_height,
-    int threads) {
+    int threads, bool fast_paths) {
   const auto n = static_cast<std::size_t>(g.n());
   SourceDetectionResult out;
   out.n_ = n;
@@ -733,7 +725,8 @@ SourceDetectionResult source_detection(
                   out.parent_port.begin() +
                       static_cast<std::ptrdiff_t>(
                           static_cast<std::size_t>(si) * n));
-      });
+      },
+      fast_paths);
   out.round_cost = stats.round_cost;
   out.distinct_scales = stats.distinct_scales;
   out.executed_scales = stats.executed_scales;

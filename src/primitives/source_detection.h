@@ -59,10 +59,13 @@ using SourceRowSink =
     std::function<void(int si, std::span<const graph::Dist> dist,
                        std::span<const std::int32_t> parent_port)>;
 
+/// `fast_paths = false` sends every exact (q = 1) scale through the
+/// reference Bellman–Ford sweep instead of the Dial fast path. The fast path
+/// is defined as bit-identical to the sweep; test_primitives diffs the two.
 SourceDetectionStats source_detection_stream(
     const graph::WeightedGraph& g, const std::vector<graph::Vertex>& sources,
     std::int64_t hop_bound, const util::Epsilon& eps, int bfs_height,
-    int threads, const SourceRowSink& sink);
+    int threads, const SourceRowSink& sink, bool fast_paths = true);
 
 /// One cluster member found by cluster_detection_stream: b = the source
 /// detection value d_uv, port = p_u(v) (kNoPort at the source itself).
@@ -108,7 +111,6 @@ struct ClusterDetectionStats : SourceDetectionStats {
 /// unless it settles inside — reruns through the full stream (per-source
 /// fallback). Source 0 always runs the full stream: its whole-graph layer
 /// counts set the round charge |S| + min(B, layers) + 2·D per scale.
-/// NORS_SD_DISABLE_FAST=1 sends every source through the full stream.
 ClusterDetectionStats cluster_detection_stream(
     const graph::WeightedGraph& g, const std::vector<graph::Vertex>& sources,
     std::int64_t hop_bound, const util::Epsilon& eps, int bfs_height,
@@ -150,11 +152,13 @@ struct SourceDetectionResult {
 /// `threads`: worker threads for the per-source sweeps (sources are
 /// independent — disjoint output rows, per-source bookkeeping — so any pool
 /// size yields bit-identical results and round charges). 0 consults the
-/// NORS_THREADS environment variable; 1 is serial.
+/// NORS_THREADS environment variable; 1 is serial. `fast_paths` as for
+/// source_detection_stream.
 SourceDetectionResult source_detection(const graph::WeightedGraph& g,
                                        const std::vector<graph::Vertex>& sources,
                                        std::int64_t hop_bound,
                                        const util::Epsilon& eps,
-                                       int bfs_height, int threads = 0);
+                                       int bfs_height, int threads = 0,
+                                       bool fast_paths = true);
 
 }  // namespace nors::primitives

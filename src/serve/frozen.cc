@@ -794,7 +794,7 @@ void FrozenScheme::validate() const {
   // Link targets feed back into every per-vertex array as the walk's next
   // x; range-check them here so serving never indexes out of bounds even
   // on a corrupt-but-checksummed image (ports are bounds-checked where
-  // they index the link map: in route_core and in route_batch_impl).
+  // they index the link map: in route_overlay and in route_batch_impl).
   for (const auto to : adj_to_) {
     NORS_CHECK_MSG(to >= 0 && to < n_, "link map target out of range");
   }

@@ -305,12 +305,7 @@ class FrozenScheme {
   /// (including u and v). Throws like the live walk on impossible states.
   Decision route(graph::Vertex u, graph::Vertex v,
                  std::vector<graph::Vertex>* path = nullptr) const {
-    return route_core(
-        u, v,
-        [this](graph::Vertex x, std::int32_t tree) {
-          return table_slot(x, tree);
-        },
-        NoOverlay{}, nullptr, path);
+    return route_overlay(u, v, NoOverlay{}, nullptr, path);
   }
 
   /// Software-pipelined batch engine (DESIGN.md §10): answers queries[i]
@@ -353,19 +348,14 @@ class FrozenScheme {
     route_batch_impl(queries, count, out, cache, ov, stats);
   }
 
-  /// Single-query overlay route; `touch`, if given, reports whether the
-  /// answer was re-routed past a failed link or crossed a patched link.
+  /// Single-query overlay route — the scalar walk behind route(), and the
+  /// reference test_serve and test_delta pin the lane engine against.
+  /// `touch`, if given, reports whether the answer was re-routed past a
+  /// failed link or crossed a patched link.
   template <typename Overlay>
   Decision route_overlay(graph::Vertex u, graph::Vertex v, const Overlay& ov,
                          OverlayTouch* touch = nullptr,
-                         std::vector<graph::Vertex>* path = nullptr) const {
-    return route_core(
-        u, v,
-        [this](graph::Vertex x, std::int32_t tree) {
-          return table_slot(x, tree);
-        },
-        ov, touch, path);
-  }
+                         std::vector<graph::Vertex>* path = nullptr) const;
 
   /// Queries in flight per route_batch() engine round.
   static constexpr int kBatchLanes = 16;
@@ -390,16 +380,6 @@ class FrozenScheme {
     const std::int32_t idx = table_index(x, tree);
     return idx < 0 ? nullptr : &tables_[static_cast<std::size_t>(idx)];
   }
-
-  /// The scalar walk every single-query entry point compiles down to,
-  /// parameterized over the (vertex, tree) → TableSlot* lookup so callers
-  /// can interpose a cache, and over an overlay (see NoOverlay for the
-  /// concept). Lookup must return nullptr exactly when table_index()
-  /// returns -1.
-  template <typename TableLookup, typename Overlay>
-  Decision route_core(graph::Vertex u, graph::Vertex v, TableLookup&& lookup,
-                      const Overlay& ov, OverlayTouch* touch,
-                      std::vector<graph::Vertex>* path) const;
 
   // -------------------------------------------------------- inspection --
 
@@ -697,11 +677,10 @@ std::int32_t FrozenScheme::find_tree(graph::Vertex u, graph::Vertex v,
   return -1;  // coverage failure (prevented by build; possible past failures)
 }
 
-template <typename TableLookup, typename Overlay>
-Decision FrozenScheme::route_core(graph::Vertex u, graph::Vertex v,
-                                  TableLookup&& lookup, const Overlay& ov,
-                                  OverlayTouch* touch,
-                                  std::vector<graph::Vertex>* path) const {
+template <typename Overlay>
+Decision FrozenScheme::route_overlay(graph::Vertex u, graph::Vertex v,
+                                     const Overlay& ov, OverlayTouch* touch,
+                                     std::vector<graph::Vertex>* path) const {
   NORS_CHECK(u >= 0 && u < n_ && v >= 0 && v < n_);
   Decision r;
   if (path != nullptr) {
@@ -717,17 +696,15 @@ Decision FrozenScheme::route_core(graph::Vertex u, graph::Vertex v,
   bool repaired = false;
   std::int32_t ord = 0;
   DestView dest;
-  // find_tree wants an index-or-negative probe; adapt the slot lookup
-  // (nullptr ⟺ not a member, per the route_core contract).
-  auto probe = [&lookup](graph::Vertex x, std::int32_t t) {
-    return lookup(x, t) == nullptr ? -1 : 0;
+  auto index = [this](graph::Vertex x, std::int32_t t) {
+    return table_index(x, t);
   };
-  std::int32_t tree = find_tree(u, v, probe, ord, dest, r);
+  std::int32_t tree = find_tree(u, v, index, ord, dest, r);
 
   // Walk the unique tree path over the frozen link map.
   graph::Vertex x = u;
   while (tree >= 0 && x != v) {
-    const TableSlot* t = lookup(x, tree);
+    const TableSlot* t = table_slot(x, tree);
     NORS_CHECK_MSG(t != nullptr, "walk left cluster tree " << tree);
     const std::int32_t port = next_port(*t, x, dest);
     NORS_CHECK_MSG(port != graph::kNoPort, "router stalled before arrival");
@@ -750,7 +727,7 @@ Decision FrozenScheme::route_core(graph::Vertex u, graph::Vertex v,
         if (path != nullptr) path->resize(1);
         x = u;
         ++ord;
-        tree = find_tree(u, v, probe, ord, dest, r);
+        tree = find_tree(u, v, index, ord, dest, r);
         continue;
       }
       if (lp == LinkPatch::kWeight) repaired = true;

@@ -99,35 +99,30 @@ class ShardedRouteServer {
   };
 
   /// Async: dispatch the batch across shard queues and return immediately.
-  Batch submit(const Query* queries, std::size_t count, Decision* out);
-
-  /// As submit(), answering through the delta overlay (serve/delta.h):
-  /// a walk that meets a failed link re-routes through the next tree
+  ///
+  /// A non-null `delta` answers through that overlay (serve/delta.h): a
+  /// walk that meets a failed link re-routes through the next tree
   /// candidate, patched links charge their overridden weight, and the
   /// batch pins `delta` until it retires — the generation-swap contract
-  /// net::Server relies on. A null delta serves the unpatched image
-  /// (identical to plain submit()). When a worker sees a different delta
-  /// sequence than its previous batch it clears its table cache (indices
-  /// are delta-invariant today, but the invalidation is keyed by
-  /// generation, not by that implementation detail).
+  /// net::Server relies on. A null delta serves the unpatched image. When
+  /// a worker sees a different delta sequence than its previous batch it
+  /// clears its table cache (indices are delta-invariant today, but the
+  /// invalidation is keyed by generation, not by that implementation
+  /// detail).
+  ///
+  /// A non-empty `on_complete` runs exactly once when every query of the
+  /// batch is answered — the completion hook the network front-end
+  /// (src/net) uses to finish a request without parking a thread in
+  /// wait(). It runs on the worker thread that retires the batch's last
+  /// sub-batch, after all accounting (an empty batch runs it inline on the
+  /// submitting thread). It must not throw and must not block; calling the
+  /// ticket's wait() from inside it is fine (the batch is already done, so
+  /// wait() returns — or rethrows the first worker error — immediately).
+  /// The callback is dropped as soon as it has run, so state captured by
+  /// it does not outlive the batch.
   Batch submit(const Query* queries, std::size_t count, Decision* out,
-               std::shared_ptr<const DeltaSet> delta);
-  Batch submit(const Query* queries, std::size_t count, Decision* out,
-               std::shared_ptr<const DeltaSet> delta,
-               std::function<void()> on_complete);
-
-  /// As submit(), and additionally invokes `on_complete` exactly once when
-  /// every query of the batch is answered — the completion hook the
-  /// network front-end (src/net) uses to finish a request without parking
-  /// a thread in wait(). The callback runs on the worker thread that
-  /// retires the batch's last sub-batch, after all accounting (an empty
-  /// batch invokes it inline on the submitting thread). It must not throw
-  /// and must not block; calling the ticket's wait() from inside it is
-  /// fine (the batch is already done, so wait() returns — or rethrows the
-  /// first worker error — immediately). The callback is dropped as soon as
-  /// it has run, so state captured by it does not outlive the batch.
-  Batch submit(const Query* queries, std::size_t count, Decision* out,
-               std::function<void()> on_complete);
+               std::shared_ptr<const DeltaSet> delta = {},
+               std::function<void()> on_complete = {});
 
   /// Blocking convenience: submit + wait.
   void serve(const Query* queries, std::size_t count, Decision* out);
@@ -159,9 +154,6 @@ class ShardedRouteServer {
   struct Shard;
   struct Worker;
   void worker(Worker& w);
-  Batch submit_impl(const Query* queries, std::size_t count, Decision* out,
-                    std::shared_ptr<const DeltaSet> delta);
-  static Batch attach_hook(Batch ticket, std::function<void()> on_complete);
 
   const FrozenScheme* fs_;
   ShardedOptions opt_;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "core/scheme.h"
 #include "graph/generators.h"
@@ -17,6 +18,7 @@ struct Case {
   std::uint64_t seed;
   int n;
   std::int64_t extra_edges;
+  std::optional<util::Epsilon> eps = {};  // unset: the paper's 1/(48 k⁴)
 };
 
 /// Fixture building one scheme and the exact quantities the paper's
@@ -31,6 +33,7 @@ class ClusterInvariants : public ::testing::TestWithParam<Case> {
     core::SchemeParams p;
     p.k = c.k;
     p.seed = c.seed;
+    p.eps = c.eps;
     scheme_ = std::make_unique<core::RoutingScheme>(
         core::RoutingScheme::build(g_, p));
     // Reconstruct A_i from the exposed levels and compute exact d(v, A_i).
@@ -182,8 +185,10 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, ClusterInvariants,
     ::testing::Values(Case{2, 401, 90, 200}, Case{3, 402, 110, 260},
                       Case{4, 403, 120, 300}, Case{5, 404, 130, 320},
-                      Case{3, 405, 100, 1200}  // dense
-                      ));
+                      Case{3, 405, 100, 1200},  // dense
+                      // A practical ε: the Theorem-3 pivot level (3) and
+                      // the clusters stay within their ε bounds.
+                      Case{4, 406, 120, 300, util::Epsilon(1, 8)}));
 
 }  // namespace
 }  // namespace nors

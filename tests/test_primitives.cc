@@ -184,8 +184,8 @@ TEST(SourceDetection, DialFastPathBitIdenticalToReferenceSweep) {
   // The exact-scale fast path (Dial Dijkstra + first-writer reconstruction)
   // is *defined* as bit-identical to the reference Bellman–Ford sweep —
   // distances, parent-port tie-breaks, iteration counts and round charges.
-  // Pin the equivalence by diffing complete results across the
-  // NORS_SD_DISABLE_FAST escape hatch, on regimes where the fast path
+  // Pin the equivalence by diffing complete results with the fast path
+  // off (fast_paths = false) and on, on regimes where the fast path
   // engages (small weights, generous hop bound), where it must fall back
   // (huge weights break the margin), and across thread counts.
   struct Regime {
@@ -205,15 +205,12 @@ TEST(SourceDetection, DialFastPathBitIdenticalToReferenceSweep) {
     for (Vertex v = 0; v < g.n(); v += 17) sources.push_back(v);
     const util::Epsilon eps(1, 6);
 
-    setenv("NORS_SD_DISABLE_FAST", "1", 1);
-    const auto ref =
-        primitives::source_detection(g, sources, r.hop_bound, eps, 5);
-    setenv("NORS_SD_DISABLE_FAST", "0", 1);
+    const auto ref = primitives::source_detection(
+        g, sources, r.hop_bound, eps, 5, /*threads=*/0, /*fast_paths=*/false);
     const auto fast =
         primitives::source_detection(g, sources, r.hop_bound, eps, 5);
     const auto threaded = primitives::source_detection(
         g, sources, r.hop_bound, eps, 5, /*threads=*/3);
-    unsetenv("NORS_SD_DISABLE_FAST");
 
     EXPECT_EQ(ref.dist, fast.dist) << "seed=" << r.seed;
     EXPECT_EQ(ref.parent_port, fast.parent_port) << "seed=" << r.seed;

@@ -305,6 +305,19 @@ TEST(Replication, ReplicaFollowsPrimaryAndServesIdenticalReads) {
   EXPECT_EQ(rclient.route(qs).size(), qs.size());  // connection survived
 }
 
+TEST(Replication, MalformedReplicaOfFailsTheBoot) {
+  const auto g = test_graph(60, 68);
+  const auto image = build_frozen(g, 2, 9).save();
+  for (const char* bad : {"127.0.0.1:notaport", "127.0.0.1:70000", "nohost"}) {
+    net::NetServerOptions ropt;
+    ropt.replica_of = bad;
+    EXPECT_THROW(
+        { net::Server replica(serve::FrozenScheme::load(image), ropt); },
+        std::logic_error)
+        << bad;
+  }
+}
+
 TEST(Replication, StreamGapForcesResubscribeWithSnapshot) {
   const auto g = test_graph(140, 79);
   auto frozen = build_frozen(g, 3, 9);

@@ -3,9 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 
@@ -393,6 +395,69 @@ TEST(ShardedRouteServer, WorkerExceptionsSurfaceAtWaitAndServerSurvives) {
     expect_same_decision(s.route(good[i].u, good[i].v), got[i], good[i].u,
                          good[i].v);
   }
+}
+
+TEST(ShardedRouteServer, CompletionCallbackRunsExactlyOnce) {
+  const auto g = test_graph(90, 6750);
+  const auto s = build_scheme(g, 2, true, 61);
+  const auto f = serve::FrozenScheme::freeze(s);
+  serve::ShardedOptions opt;
+  opt.shards = 3;
+
+  std::vector<serve::Query> good;
+  for (Vertex u = 0; u < g.n(); ++u) good.push_back({u, (u * 7 + 3) % g.n()});
+  // A cross-shard batch with one bad query (default Query: kNoVertex) in
+  // the middle.
+  std::vector<serve::Query> mixed = good;
+  mixed[mixed.size() / 2] = serve::Query{};
+
+  int empty_calls = 0;
+  std::atomic<int> good_calls{0}, bad_calls{0};
+  {
+    serve::ShardedRouteServer server(f, opt);
+
+    // An empty batch runs the callback inline, before submit() returns.
+    auto t0 = server.submit(nullptr, 0, nullptr, nullptr,
+                            [&empty_calls] { ++empty_calls; });
+    EXPECT_EQ(empty_calls, 1);
+    EXPECT_TRUE(t0.done());
+    t0.wait();
+
+    // A good batch: the callback fires once every answer is written.
+    std::vector<serve::Decision> out(good.size());
+    std::promise<void> good_fired;
+    auto t1 = server.submit(good.data(), good.size(), out.data(), nullptr,
+                            [&good_calls, &good_fired] {
+                              if (good_calls.fetch_add(1) == 0) {
+                                good_fired.set_value();
+                              }
+                            });
+    good_fired.get_future().wait();
+    EXPECT_TRUE(t1.done());
+    t1.wait();
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      expect_same_decision(s.route(good[i].u, good[i].v), out[i], good[i].u,
+                           good[i].v);
+    }
+
+    // A batch with a bad query: the callback still fires once, and wait()
+    // rethrows the worker's error.
+    std::vector<serve::Decision> bad_out(mixed.size());
+    std::promise<void> bad_fired;
+    auto t2 = server.submit(mixed.data(), mixed.size(), bad_out.data(),
+                            nullptr, [&bad_calls, &bad_fired] {
+                              if (bad_calls.fetch_add(1) == 0) {
+                                bad_fired.set_value();
+                              }
+                            });
+    bad_fired.get_future().wait();
+    EXPECT_TRUE(t2.done());
+    EXPECT_THROW(t2.wait(), std::logic_error);
+  }
+  // The workers are joined: no late second call can still arrive.
+  EXPECT_EQ(empty_calls, 1);
+  EXPECT_EQ(good_calls.load(), 1);
+  EXPECT_EQ(bad_calls.load(), 1);
 }
 
 TEST(ShardedRouteServer, ConcurrentProducersMatchSerialReplayAndStatsSum) {
