@@ -16,10 +16,15 @@
 
 namespace {
 
+/// The cluster levels' Phase-1 exploration (and its 1.5 fix-up); tree
+/// routing's own "treeroute/phase1 ..." entries do not depend on the hopset.
 std::int64_t phase1_rounds(const nors::congest::RoundLedger& ledger) {
   std::int64_t total = 0;
   for (const auto& e : ledger.entries()) {
-    if (e.phase.find("phase1") != std::string::npos) total += e.rounds;
+    if (e.phase.starts_with("clusters/") &&
+        e.phase.find("phase1") != std::string::npos) {
+      total += e.rounds;
+    }
   }
   return total;
 }

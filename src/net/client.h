@@ -64,7 +64,7 @@ struct ClientOptions {
   /// those calls execute no writes; update() and checkpoint() never fail
   /// over — they mutate, and a timeout leaves their outcome unknown, so
   /// the caller must decide.
-  std::vector<Endpoint> endpoints;
+  std::vector<Endpoint> endpoints{};
 
   /// Extra connect attempts before giving up — lets a client outwait a
   /// daemon that is still binding its socket. Attempts are spaced by

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "primitives/pipelined.h"
 #include "util/threads.h"
@@ -144,6 +146,163 @@ int subtree_roots(const TreeBuildScratch& s, graph::Vertex root,
   }
   return max_depth;
 }
+
+/// The Remark-3 schedule verifier over a whole forest. Each subtree
+/// broadcast occupies its edges at stage start(w) + depth(edge); an attempt
+/// fails when more than alpha broadcasts share one (edge, stage). Every
+/// forest edge is the (child, parent) edge of a non-subtree-root position,
+/// so the constructor groups the positions by that edge once, as packed
+/// (subtree-root slot, depth) records, and keeps only the groups of more
+/// than alpha records (no other group can fail). An attempt draws one start
+/// per subtree root and counts each kept group's stages.
+class ScheduleVerifier {
+ public:
+  /// Consumes `sched` (each tree's view is released once read). The
+  /// passes run on up to `threads` workers, each over one contiguous chunk
+  /// of trees cut at about equal position counts with its own cursor row,
+  /// so the groups come out the same for any pool (no atomics: a locked
+  /// increment per scattered record store serializes the stores' misses).
+  ScheduleVerifier(const graph::WeightedGraph& g,
+                   std::vector<TreeSchedule>& sched, int alpha, int threads)
+      : alpha_(alpha) {
+    const std::size_t half_edges = g.total_half_edges();
+    const std::size_t trees = sched.size();
+    std::size_t positions = 0;
+    for (const TreeSchedule& ts : sched) positions += ts.w_pos.size();
+    NORS_CHECK_MSG(positions <= 0xffffffffull,
+                   "too many forest positions for the schedule verifier");
+    // Parallel edges to one parent are one (child, parent) edge: each
+    // half-edge stands for its tail's lowest port to the same head.
+    std::vector<std::uint32_t> canon(half_edges);
+    for (Vertex v = 0; v < g.n(); ++v) {
+      const std::size_t base = g.edge_base(v);
+      const auto adj = g.neighbors(v);
+      for (std::size_t p = 0; p < adj.size(); ++p) {
+        canon[base + p] = static_cast<std::uint32_t>(
+            base + static_cast<std::size_t>(g.port_to(v, adj[p].to)));
+      }
+    }
+    // Each chunk's cursor row costs 4 bytes per half-edge: at most 8 rows.
+    const std::size_t chunks = std::clamp<std::size_t>(
+        std::min<std::size_t>(static_cast<std::size_t>(threads), trees), 1,
+        8);
+    std::vector<std::size_t> cut(chunks + 1, trees);
+    cut[0] = 0;
+    for (std::size_t t = 0, acc = 0, c = 1; t < trees && c < chunks; ++t) {
+      acc += sched[t].w_pos.size();
+      if (acc * chunks >= positions * c) cut[c++] = t + 1;
+    }
+    // Pass 1: subtree roots per tree and forest positions per (chunk,
+    // edge); each position's half-edge becomes its canonical one.
+    std::vector<std::size_t> slot_base(trees + 1, 0);
+    std::vector<std::uint32_t> rows(chunks * half_edges, 0);
+    const auto workers = static_cast<int>(chunks);
+    util::parallel_for(workers, chunks, [&](int, std::size_t c) {
+      std::uint32_t* row = rows.data() + c * half_edges;
+      for (std::size_t t = cut[c]; t < cut[c + 1]; ++t) {
+        TreeSchedule& ts = sched[t];
+        for (std::size_t i = 0; i < ts.w_pos.size(); ++i) {
+          if (ts.w_pos[i] == static_cast<int>(i)) {
+            ++slot_base[t + 1];
+          } else {
+            ts.edge[i] = canon[ts.edge[i]];
+            ++row[ts.edge[i]];
+          }
+        }
+      }
+    });
+    // Global subtree-root slots in tree / BFS order (the order the start
+    // stages are drawn in); chunk c's part of a group follows the earlier
+    // chunks' parts.
+    for (std::size_t t = 0; t < trees; ++t) slot_base[t + 1] += slot_base[t];
+    slot_depth_.assign(slot_base[trees], 0);
+    std::vector<std::uint32_t> off(half_edges + 1);
+    std::uint32_t at = 0;
+    for (std::size_t e = 0; e < half_edges; ++e) {
+      off[e] = at;
+      for (std::size_t c = 0; c < chunks; ++c) {
+        at += std::exchange(rows[c * half_edges + e], at);
+      }
+    }
+    off[half_edges] = at;
+    // Pass 2: each position's record lands in its edge's group; each slot
+    // keeps its max depth.
+    records_ = std::make_unique_for_overwrite<std::uint64_t[]>(at);
+    util::parallel_for(workers, chunks, [&](int, std::size_t c) {
+      std::uint32_t* cursor = rows.data() + c * half_edges;
+      std::vector<std::uint32_t> slot_of;
+      for (std::size_t t = cut[c]; t < cut[c + 1]; ++t) {
+        TreeSchedule& ts = sched[t];
+        slot_of.resize(ts.w_pos.size());
+        auto slot = static_cast<std::uint32_t>(slot_base[t]);
+        for (std::size_t i = 0; i < ts.w_pos.size(); ++i) {
+          const auto w = static_cast<std::size_t>(ts.w_pos[i]);
+          if (w == i) {
+            slot_of[i] = slot++;
+            continue;
+          }
+          const auto depth = static_cast<std::uint32_t>(ts.depth[i]);
+          auto& deepest = slot_depth_[slot_of[w]];
+          deepest = std::max(deepest, depth);
+          records_[cursor[ts.edge[i]]++] =
+              static_cast<std::uint64_t>(slot_of[w]) << 32 | depth;
+        }
+        ts = TreeSchedule{};
+      }
+    });
+    // Keep the groups of more than alpha records, moved down in place.
+    group_end_.clear();
+    std::size_t kept = 0;
+    for (std::size_t e = 0; e < half_edges; ++e) {
+      if (off[e + 1] - off[e] <= static_cast<std::uint32_t>(alpha_)) continue;
+      if (kept != off[e]) {  // std::copy's output may not begin in its input
+        std::copy(records_.get() + off[e], records_.get() + off[e + 1],
+                  records_.get() + kept);
+      }
+      kept += off[e + 1] - off[e];
+      group_end_.push_back(static_cast<std::uint32_t>(kept));
+    }
+  }
+
+  /// One attempt: draws every subtree root's start stage from `rng` in
+  /// [0, range) (slot order), sets `stages` to the schedule's length and
+  /// returns whether no (edge, stage) carries more than alpha broadcasts.
+  bool attempt(util::Rng& rng, std::int64_t range, std::int64_t& stages) {
+    start_.resize(slot_depth_.size());
+    stages = 0;
+    for (std::size_t w = 0; w < start_.size(); ++w) {
+      start_[w] = static_cast<std::int64_t>(
+          rng.uniform(static_cast<std::uint64_t>(range)));
+      if (slot_depth_[w] > 0) {
+        stages = std::max(stages, start_[w] + slot_depth_[w] + 1);
+      }
+    }
+    // One counter per stage, cleared again after each group.
+    count_.assign(static_cast<std::size_t>(stages), 0);
+    const auto stage = [&](std::size_t j) {
+      return static_cast<std::size_t>(
+          start_[records_[j] >> 32] +
+          static_cast<std::int64_t>(records_[j] & 0xffffffffu));
+    };
+    std::size_t first = 0;
+    for (const std::uint32_t last : group_end_) {
+      for (std::size_t j = first; j < last; ++j) {
+        if (++count_[stage(j)] > alpha_) return false;
+      }
+      for (std::size_t j = first; j < last; ++j) count_[stage(j)] = 0;
+      first = last;
+    }
+    return true;
+  }
+
+ private:
+  int alpha_;
+  std::unique_ptr<std::uint64_t[]> records_;  // slot << 32 | depth
+  std::vector<std::uint32_t> group_end_;      // kept groups' record ends
+  std::vector<std::uint32_t> slot_depth_;     // max depth per subtree slot
+  std::vector<std::int64_t> start_;
+  std::vector<std::int32_t> count_;
+};
 
 }  // namespace
 
@@ -428,9 +587,18 @@ DistTreeScheme DistTreeScheme::build(const graph::WeightedGraph& g,
 
   if (sched_out != nullptr) {
     sched_out->order = s.order;
-    sched_out->parent_pos = s.parent_pos;
     sched_out->w_pos = s.w_pos;
     sched_out->depth = s.depth;
+    sched_out->edge.assign(sz, 0);
+    for (std::size_t i = 1; i < sz; ++i) {
+      const Vertex v = s.order[i];
+      const std::int32_t port = s.parent_port[i];
+      NORS_CHECK_MSG(port >= 0 && port < g.degree(v),
+                     "bad parent port " << port << " at vertex " << v);
+      sched_out->edge[i] =
+          static_cast<std::uint32_t>(g.edge_base(v)) +
+          static_cast<std::uint32_t>(port);
+    }
   }
   return out;
 }
@@ -522,6 +690,9 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
   for (Vertex v = 0; v < n; ++v) in_u[static_cast<std::size_t>(v)] =
       rng.bernoulli(p_u) ? 1 : 0;
 
+  NORS_CHECK_MSG(g.total_half_edges() <= 0xffffffffull,
+                 "too many half-edges for the schedule's edge ids");
+
   // Per-tree builds: independent, so they run on the worker pool with one
   // scratch arena per thread. Every result lands in its spec's slot and all
   // folds below run serially in spec order, so schemes, stats and ledger
@@ -542,99 +713,65 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
   });
 
   // Serial fold in spec order: the running max_label_words enters each
-  // tree's phase-2 charge, so the order is part of the ledger contract.
+  // charged tree's phase-2 charge, so the order is part of the ledger
+  // contract. Phase 2 broadcasts two messages per T' node (report edge +
+  // receive table/label), each of O(log² n) words, but only for trees with
+  // u_count >= 2: when T' is the root alone, its global scheme (a' = 0, no
+  // light hops, no heavy child) is known locally, and one bit in the size
+  // convergecast tells the root that no U-vertex lies below it.
   std::int64_t phase2_words = 0;
+  std::int64_t u_charged = 0;
   std::int64_t max_label_words = 1;
   for (const auto& s : out.schemes) {
     out.max_subtree_depth =
         std::max(out.max_subtree_depth, s.max_subtree_depth());
     out.u_total += s.u_count();
     max_label_words = std::max(max_label_words, s.max_label_words());
-    // Phase 2 broadcast: two messages per T' node (report edge + receive
-    // table/label), each of O(log² n) words.
-    phase2_words += 2LL * s.u_count() * max_label_words;
+    if (s.u_count() >= 2) {
+      phase2_words += 2LL * s.u_count() * max_label_words;
+      u_charged += s.u_count();
+    }
   }
 
-  // Remark-3 schedule verification: each subtree broadcast occupies its
-  // edges at stage start(w)+depth(edge); an attempt fails when more than
-  // alpha broadcasts share one (edge, stage). Every forest edge is the
-  // (child, parent) pair of a non-subtree-root position — the same child
-  // vertex can hang off different parents in different trees — so the
-  // edges are grouped by child vertex in a CSR built once (the per-tree
-  // structure came out of the builds above). An attempt only redraws the
-  // start stages, writes each edge's (parent, stage) key into its child's
-  // run, and sorts the runs that could collide at all: a collision is a
-  // run of more than alpha equal keys, and a run is at most the child's
-  // overlap long.
+  // Remark-3 staged schedule, found by a doubling search a CONGEST network
+  // can run: the start-stage range starts at 1 and doubles after each
+  // failed attempt, capped at the paper's range R = ⌊√(n·s)⌋·⌊ln n⌋ (past
+  // R it keeps doubling), so the w.h.p. bound is R's. Every attempt costs a
+  // failure-bit convergecast plus a verdict broadcast over the BFS tree; a
+  // failed attempt also costs its staged dissemination pass, in which some
+  // parent sees more than alpha messages queued for one (edge, stage).
   const std::int64_t ln_n = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::log(std::max(2, n))));
-  std::int64_t range = std::max<std::int64_t>(
+  const std::int64_t ceiling = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::sqrt(static_cast<double>(n) *
                                              out.max_overlap)) *
              ln_n);
-  struct EdgeKey {
-    std::int64_t stage;
-    Vertex parent;
-    bool operator<(const EdgeKey& o) const {
-      return parent != o.parent ? parent < o.parent : stage < o.stage;
-    }
-    bool operator==(const EdgeKey& o) const = default;
-  };
-  std::vector<std::size_t> key_off(static_cast<std::size_t>(n) + 1, 0);
-  for (const TreeSchedule& ts : sched) {
-    for (std::size_t i = 0; i < ts.order.size(); ++i) {
-      if (ts.w_pos[i] != static_cast<int>(i)) {
-        ++key_off[static_cast<std::size_t>(ts.order[i]) + 1];
-      }
-    }
-  }
-  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
-    key_off[v + 1] += key_off[v];
-  }
-  std::vector<EdgeKey> keys(key_off[static_cast<std::size_t>(n)]);
-  std::vector<std::size_t> cursor;
-  std::vector<std::int64_t> start;
+  int max_attempts = 20;
+  for (std::int64_t r = 1; r < ceiling; r *= 2) ++max_attempts;
+  // alpha = 0 fails every attempt on any forest edge, while the range and
+  // the verifier's stages-sized counters keep doubling.
+  NORS_CHECK_MSG(params.alpha >= 1, "stage length alpha must be at least 1");
+  const int alpha = params.alpha;
+  ScheduleVerifier verifier(g, sched, alpha, nthreads);
+  std::int64_t range = 1;
   std::int64_t stages = 0;
+  std::int64_t search_rounds = 0;
   for (int attempt = 0;; ++attempt) {
-    NORS_CHECK_MSG(attempt < 20, "staged schedule failed to decongest");
+    NORS_CHECK_MSG(attempt < max_attempts,
+                   "staged schedule failed to decongest");
     out.schedule_attempts = attempt + 1;
-    stages = 0;
-    cursor.assign(key_off.begin(), key_off.end() - 1);
     util::Rng sched_rng = rng.fork(static_cast<std::uint64_t>(attempt) + 99);
-    for (const TreeSchedule& ts : sched) {
-      const std::size_t sz = ts.order.size();
-      start.assign(sz, 0);
-      for (std::size_t i = 0; i < sz; ++i) {
-        if (ts.w_pos[i] == static_cast<int>(i)) {
-          start[i] = static_cast<std::int64_t>(
-              sched_rng.uniform(static_cast<std::uint64_t>(range)));
-        } else {
-          const std::int64_t stage =
-              start[static_cast<std::size_t>(ts.w_pos[i])] + ts.depth[i];
-          stages = std::max(stages, stage + 1);
-          keys[cursor[static_cast<std::size_t>(ts.order[i])]++] = {
-              stage, ts.order[static_cast<std::size_t>(ts.parent_pos[i])]};
-        }
-      }
-    }
-    bool ok = true;
-    const auto alpha = static_cast<std::size_t>(std::max(0, params.alpha));
-    for (std::size_t v = 0; v < static_cast<std::size_t>(n) && ok; ++v) {
-      if (key_off[v + 1] - key_off[v] <= alpha) continue;
-      const auto first = keys.begin() + static_cast<std::ptrdiff_t>(key_off[v]);
-      const auto last =
-          keys.begin() + static_cast<std::ptrdiff_t>(key_off[v + 1]);
-      std::sort(first, last);
-      std::size_t run = 0;
-      for (auto it = first; it != last && ok; ++it) {
-        run = it != first && *it == it[-1] ? run + 1 : 1;
-        ok = run <= alpha;
-      }
-    }
+    const bool ok = verifier.attempt(sched_rng, range, stages);
+    search_rounds += 2LL * bfs_height;
     if (ok) break;
-    range *= 2;
+    search_rounds += static_cast<std::int64_t>(alpha) * stages;
+    range = range < ceiling ? std::min(2 * range, ceiling) : 2 * range;
   }
   out.stages = stages;
+  out.ledger.add("treeroute/phase1 schedule search",
+                 congest::CostKind::kAccounted, search_rounds, 0,
+                 "attempts=" + std::to_string(out.schedule_attempts) +
+                     " range=" + std::to_string(range));
 
   // Phases 0+1 (start-time dissemination, size convergecast, parallel DFS,
   // local label distribution): four staged passes, the label pass carrying
@@ -655,7 +792,9 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
       "treeroute/phase2 global broadcast",
       congest::CostKind::kAccounted,
       primitives::pipelined_broadcast_rounds(phase2_msgs, bfs_height),
-      phase2_msgs, "u_total=" + std::to_string(out.u_total));
+      phase2_msgs,
+      "u_total=" + std::to_string(out.u_total) +
+          " u_charged=" + std::to_string(u_charged));
   return out;
 }
 

@@ -152,12 +152,15 @@ class DistTreeScheme {
 };
 
 /// Per-tree construction view reused by the batch scheduler: members in BFS
-/// order with parent positions, subtree-root positions and depths.
+/// order with subtree-root positions, depths and the half-edge each
+/// member's broadcast crosses.
 struct TreeSchedule {
   std::vector<graph::Vertex> order;  // BFS order, order[0] == root
-  std::vector<int> parent_pos;       // position of parent; -1 at root
   std::vector<int> w_pos;            // subtree-root position per member
   std::vector<int> depth;            // depth below the subtree root
+  // Flat CSR index (WeightedGraph::edge_base + parent port) of the
+  // half-edge from the member to its parent; 0 at the root.
+  std::vector<std::uint32_t> edge;
 };
 
 /// Reusable construction arenas: one instance per worker thread, reused

@@ -121,11 +121,11 @@ TEST(GoldenRounds, MatchesCommittedRoundsScalingSnapshot) {
   // Subset of the committed snapshot chosen to keep this test under a
   // second while covering both series, both k values and 8× size range.
   const Row rows[] = {
-      {false, 3, 256, 65284},   {false, 3, 512, 125770},
-      {false, 3, 1024, 226936}, {false, 3, 2048, 468644},
-      {false, 4, 256, 53368},   {false, 4, 512, 123744},
-      {false, 4, 1024, 191608}, {true, 3, 256, 66515},
-      {true, 3, 512, 145280},   {true, 3, 1024, 248325},
+      {false, 3, 256, 3308},   {false, 3, 512, 2518},
+      {false, 3, 1024, 4988},  {false, 3, 2048, 9376},
+      {false, 4, 256, 2212},   {false, 4, 512, 3356},
+      {false, 4, 1024, 4884},  {true, 3, 256, 26419},
+      {true, 3, 512, 77910},   {true, 3, 1024, 119181},
   };
   for (const Row& row : rows) {
     util::Rng rng(911 + static_cast<std::uint64_t>(row.n));
@@ -185,18 +185,18 @@ TEST(GoldenImages, FrozenImageAndLedgerDigestsArePinned) {
     std::uint64_t ledger;
   };
   const Row rows[] = {
-      {0, 3, 4.0, 0x96b2110f631dfd2full, 0xf124f1e8c086650cull},
-      {0, 3, 0.1, 0x96b2110f631dfd2full, 0x798102e5712bf731ull},
-      {0, 5, 4.0, 0x593f4f3a616b4732ull, 0x720de9154f8c48aull},
-      {0, 5, 0.1, 0x593f4f3a616b4732ull, 0x2a9f693c6b2f8d8ull},
-      {1, 3, 4.0, 0xf5f5a2f889e6e847ull, 0xed41f80aaeb2b902ull},
-      {1, 3, 0.1, 0xf5f5a2f889e6e847ull, 0xfae2efe0318515d4ull},
-      {1, 5, 4.0, 0xc7e301464cd2f82bull, 0x1a44af3c8aa8a091ull},
-      {1, 5, 0.1, 0x1b359476947ed220ull, 0x22129cc5ffda4f00ull},
-      {2, 3, 4.0, 0x35530617b3a86059ull, 0xcaccf2efaab040c8ull},
-      {2, 3, 0.1, 0x35530617b3a86059ull, 0x8aeb3c48683a1f0full},
-      {2, 5, 4.0, 0xffee03461643939full, 0x3501c7c83508757full},
-      {2, 5, 0.1, 0xffee03461643939full, 0x73325b4f1ab4965bull},
+      {0, 3, 4.0, 0x96b2110f631dfd2full, 0x2f1d1e957e61e561ull},
+      {0, 3, 0.1, 0x96b2110f631dfd2full, 0x7c02438af1e6e104ull},
+      {0, 5, 4.0, 0x593f4f3a616b4732ull, 0x18d871a28d767106ull},
+      {0, 5, 0.1, 0x593f4f3a616b4732ull, 0x39c3eb41bd760b70ull},
+      {1, 3, 4.0, 0xf5f5a2f889e6e847ull, 0xe2ff60aacf849dfbull},
+      {1, 3, 0.1, 0xf5f5a2f889e6e847ull, 0x36237a11d4289809ull},
+      {1, 5, 4.0, 0xc7e301464cd2f82bull, 0x69660cec78491039ull},
+      {1, 5, 0.1, 0x1b359476947ed220ull, 0x6b895a9647c2ad46ull},
+      {2, 3, 4.0, 0x35530617b3a86059ull, 0x84ecb0391dddd7dull},
+      {2, 3, 0.1, 0x35530617b3a86059ull, 0xae8eaed73820d80cull},
+      {2, 5, 4.0, 0xffee03461643939full, 0x99a0e1c0023733f9ull},
+      {2, 5, 0.1, 0xffee03461643939full, 0x58c99d5ddd6d0545ull},
   };
   for (const Row& row : rows) {
     const auto g = make_graph(row.family, 700 + static_cast<std::uint64_t>(

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
 #include "treeroute/dist_tree.h"
@@ -88,6 +91,58 @@ TEST(Phase1Sim, SizesAreSubtreeSizes) {
     }
   }
   EXPECT_EQ(total, g.n());
+}
+
+TEST(DistTreeBatch, SimulatedPhase1FitsTheCharge) {
+  // The staged Phase-1 charge α·stages·(3 + label factor) must stay an
+  // upper bound on the message-level run of the same passes. One-tree
+  // batches over each graph family of the determinism suite; the batch's
+  // U sample is replayed from its seed (γ = sqrt(n / s), s = 1).
+  for (int family = 0; family < 3; ++family) {
+    util::Rng grng(700 + static_cast<std::uint64_t>(family));
+    const auto g =
+        family == 0   ? graph::connected_gnm(150, 400,
+                                             graph::WeightSpec::uniform(1, 24),
+                                             grng)
+        : family == 1 ? graph::torus(12, 13, graph::WeightSpec::uniform(1, 9),
+                                     grng)
+                      : graph::clustered(160, 5, 0.35, 40,
+                                         graph::WeightSpec::uniform(1, 12),
+                                         grng);
+    for (const Vertex root : {0, g.n() / 3, 2 * g.n() / 3}) {
+      const auto spec = sssp_spec(g, root);
+      const std::uint64_t seed = 40 + static_cast<std::uint64_t>(root);
+      treeroute::DistTreeBatchParams params;
+      params.threads = 1;
+      util::Rng batch_rng(seed);
+      const auto batch =
+          treeroute::build_dist_tree_batch(g, {spec}, params, 6, batch_rng);
+      ASSERT_EQ(batch.max_overlap, 1);
+
+      util::Rng ref_rng(seed);
+      const double p_u =
+          std::min(1.0, std::sqrt(static_cast<double>(g.n())) / g.n());
+      std::vector<char> in_u(static_cast<std::size_t>(g.n()), 0);
+      for (Vertex v = 0; v < g.n(); ++v) {
+        in_u[static_cast<std::size_t>(v)] = ref_rng.bernoulli(p_u) ? 1 : 0;
+      }
+      const auto scheme = treeroute::DistTreeScheme::build(g, spec, in_u);
+      ASSERT_EQ(batch.schemes[0].u_count(), scheme.u_count());
+      ASSERT_EQ(batch.max_subtree_depth, scheme.max_subtree_depth());
+
+      std::int64_t charged = -1;
+      for (const auto& e : batch.ledger.entries()) {
+        if (e.phase == "treeroute/phase1 staged subtree passes") {
+          charged = e.rounds;
+        }
+      }
+      const auto sim = treeroute::simulate_phase1(g, spec, in_u);
+      EXPECT_GT(sim.rounds, 0);
+      EXPECT_LE(sim.rounds, charged)
+          << "family=" << family << " root=" << root
+          << " stages=" << batch.stages;
+    }
+  }
 }
 
 }  // namespace

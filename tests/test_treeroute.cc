@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <map>
+#include <stdexcept>
 #include <tuple>
 
+#include "congest/message.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
 #include "treeroute/dist_tree.h"
@@ -281,29 +283,159 @@ TEST(DistTreeBatch, BuildsAllTreesAndChargesRounds) {
     }
     EXPECT_EQ(len, graph::tree_distance(f.parent, f.dist_to_root, u, 60));
   }
+  // A zero stage length can never decongest a shared edge.
+  treeroute::DistTreeBatchParams zero;
+  zero.alpha = 0;
+  util::Rng zero_rng(99);
+  EXPECT_THROW(
+      treeroute::build_dist_tree_batch(g, specs, zero, 6, zero_rng),
+      std::logic_error);
+}
+
+TEST(DistTreeBatch, SingleNodeVirtualTreesNeedNoPhase2) {
+  // With γ so small that U is empty, every tree's T' is its root alone:
+  // the global scheme is known locally, Phase 2 charges nothing, and every
+  // route is still exact.
+  util::Rng rng(87);
+  const auto g =
+      graph::connected_gnm(120, 300, graph::WeightSpec::uniform(1, 9), rng);
+  const Vertex roots[] = {0, 31, 64, 99};
+  std::vector<treeroute::TreeSpec> specs;
+  for (const Vertex root : roots) specs.push_back(sssp_tree(g, root).spec);
+  treeroute::DistTreeBatchParams params;
+  params.gamma = 1e-9;
+  params.threads = 1;
+  util::Rng batch_rng(5);
+  const auto batch =
+      treeroute::build_dist_tree_batch(g, specs, params, 6, batch_rng);
+  const auto& entries = batch.ledger.entries();
+  ASSERT_EQ(entries.back().phase, "treeroute/phase2 global broadcast");
+  EXPECT_EQ(entries.back().messages, 0);
+  EXPECT_EQ(entries.back().rounds, 0);
+  for (std::size_t t = 0; t < specs.size(); ++t) {
+    const auto& s = batch.schemes[t];
+    ASSERT_EQ(s.u_count(), 1);
+    const auto f = sssp_tree(g, roots[t]);
+    for (Vertex u = 0; u < g.n(); u += 7) {
+      for (Vertex v = 0; v < g.n(); v += 5) {
+        Vertex x = u;
+        Dist len = 0;
+        for (int hops = 0; x != v; ++hops) {
+          ASSERT_LT(hops, g.n());
+          const auto port = s.next_hop(x, s.label(v));
+          ASSERT_NE(port, graph::kNoPort);
+          len += g.edge(x, port).w;
+          x = g.edge(x, port).to;
+        }
+        EXPECT_EQ(len, graph::tree_distance(f.parent, f.dist_to_root, u, v))
+            << "root=" << roots[t] << " u=" << u << " v=" << v;
+      }
+    }
+  }
+}
+
+TEST(DistTreeBatch, Phase2ChargesOnlyMultiNodeVirtualTrees) {
+  // Trees cut from SSSP trees at a few hops from their roots: some contain
+  // a sampled vertex (u_count >= 2) and some do not. Phase 2 must charge
+  // exactly Σ_{u_count >= 2} 2·u_count·(running max label words) words,
+  // the running max folded over every tree in spec order.
+  util::Rng rng(88);
+  const auto g =
+      graph::connected_gnm(200, 500, graph::WeightSpec::uniform(1, 9), rng);
+  std::vector<treeroute::TreeSpec> specs;
+  for (Vertex root = 0; root < g.n(); root += 9) {
+    const auto full = sssp_tree(g, root);
+    // Hop depth in the SSSP tree; parents are strictly closer.
+    std::vector<int> hops(static_cast<std::size_t>(g.n()), -1);
+    const auto hop = [&](auto&& self, Vertex v) -> int {
+      auto& h = hops[static_cast<std::size_t>(v)];
+      if (h < 0) {
+        h = v == root ? 0
+                      : 1 + self(self, full.parent[static_cast<std::size_t>(v)]);
+      }
+      return h;
+    };
+    treeroute::TreeSpec spec;
+    spec.root = root;
+    for (Vertex v = 0; v < g.n(); ++v) {
+      if (hop(hop, v) > 1 + root % 3) continue;
+      spec.members.push_back(v);
+      spec.parent.push_back(full.spec.parent[static_cast<std::size_t>(v)]);
+      spec.parent_port.push_back(
+          full.spec.parent_port[static_cast<std::size_t>(v)]);
+    }
+    specs.push_back(std::move(spec));
+  }
+  treeroute::DistTreeBatchParams params;
+  params.gamma = 12;
+  params.threads = 1;
+  const int bfs_height = 6;
+  util::Rng batch_rng(9);
+  const auto batch = treeroute::build_dist_tree_batch(g, specs, params,
+                                                      bfs_height, batch_rng);
+
+  std::int64_t words = 0;
+  std::int64_t max_label_words = 1;
+  int single = 0, multi = 0;
+  for (const auto& s : batch.schemes) {
+    max_label_words = std::max(max_label_words, s.max_label_words());
+    if (s.u_count() >= 2) {
+      words += 2LL * s.u_count() * max_label_words;
+      ++multi;
+    } else {
+      ++single;
+    }
+  }
+  ASSERT_GT(single, 0);
+  ASSERT_GT(multi, 0);
+  const std::int64_t msgs =
+      (words + congest::kMaxWords - 1) / congest::kMaxWords;
+  const auto& phase2 = batch.ledger.entries().back();
+  ASSERT_EQ(phase2.phase, "treeroute/phase2 global broadcast");
+  EXPECT_EQ(phase2.messages, msgs);
+  EXPECT_EQ(phase2.rounds, 2 * (bfs_height + msgs));
 }
 
 TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
-  // The Remark-3 verifier retries the start-stage draw until no
-  // (edge, stage) pair carries more than alpha subtree broadcasts. A stage
-  // length of 1 over many overlapping SSSP trees forces retries; replay the
-  // batch's draws (the U sample, then one forked stream per attempt) and
-  // count every (child, parent, stage) in a std::map to pin the number of
-  // attempts and the stages of the accepted schedule.
+  // The Remark-3 search draws start stages over a range that starts at 1
+  // and doubles after every attempt in which some (edge, stage) pair
+  // carries more than alpha subtree broadcasts, capped at the paper's
+  // range R = ⌊√(n·s)⌋·⌊ln n⌋ and doubling freely past it. A stage length
+  // of 1 over many overlapping SSSP trees forces attempts past R; replay
+  // the batch's draws (the U sample, then one forked stream per attempt)
+  // and count every (child, parent, stage) in a std::map to pin the number
+  // of attempts, the stages of the accepted schedule and the search charge.
+  // Every edge is doubled and every other tree hangs off the twin ports:
+  // parallel edges to one parent are still one (child, parent) edge.
   util::Rng rng(301);
-  const auto g =
+  const auto single =
       graph::connected_gnm(160, 360, graph::WeightSpec::uniform(1, 6), rng);
+  graph::WeightedGraph g(single.n());
+  for (Vertex v = 0; v < single.n(); ++v) {
+    for (const auto& e : single.neighbors(v)) {
+      if (v > e.to) continue;
+      g.add_edge(v, e.to, e.w);  // ports 2j at both ends
+      g.add_edge(v, e.to, e.w);  // its twin, ports 2j + 1
+    }
+  }
+  g.freeze();
   std::vector<treeroute::TreeSpec> specs;
   for (Vertex root = 0; root < g.n(); root += 7) {
     specs.push_back(sssp_tree(g, root).spec);
+    if (specs.size() % 2 == 0) {
+      for (auto& port : specs.back().parent_port) {
+        if (port != graph::kNoPort) port ^= 1;
+      }
+    }
   }
   treeroute::DistTreeBatchParams params;
   params.gamma = 8;
   params.alpha = 1;
   params.threads = 1;
+  const int bfs_height = 6;
   util::Rng batch_rng(55);
-  const auto batch =
-      treeroute::build_dist_tree_batch(g, specs, params, 6, batch_rng);
+  const auto batch = treeroute::build_dist_tree_batch(g, specs, params,
+                                                      bfs_height, batch_rng);
 
   const int n = g.n();
   const auto s = static_cast<int>(specs.size());  // every tree spans V
@@ -321,18 +453,22 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
   }
   const std::int64_t ln_n =
       static_cast<std::int64_t>(std::log(static_cast<double>(n)));
-  std::int64_t range =
+  const std::int64_t paper_range =
       static_cast<std::int64_t>(std::sqrt(static_cast<double>(n) * s)) * ln_n;
+  std::int64_t range = 1;
   int attempts = 0;
   std::int64_t stages = 0;
-  for (;; range *= 2) {
-    ASSERT_LT(attempts, 20);
+  std::int64_t search = 0;
+  bool passed_paper_range = false;
+  for (;;) {
+    ASSERT_LT(attempts, 40);
     util::Rng sched_rng = ref_rng.fork(static_cast<std::uint64_t>(attempts) +
                                        99);
     ++attempts;
     std::map<std::tuple<Vertex, Vertex, std::int64_t>, int> load;
     stages = 0;
-    for (const auto& ts : sched) {
+    for (std::size_t t = 0; t < sched.size(); ++t) {
+      const auto& ts = sched[t];
       std::vector<std::int64_t> start(ts.order.size(), 0);
       for (std::size_t i = 0; i < ts.order.size(); ++i) {
         if (ts.w_pos[i] == static_cast<int>(i)) {
@@ -343,19 +479,30 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
         const std::int64_t stage =
             start[static_cast<std::size_t>(ts.w_pos[i])] + ts.depth[i];
         stages = std::max(stages, stage + 1);
-        ++load[{ts.order[i],
-                ts.order[static_cast<std::size_t>(ts.parent_pos[i])], stage}];
+        const Vertex v = ts.order[i];  // members are 0..n-1 in spec order
+        ++load[{v, specs[t].parent[static_cast<std::size_t>(v)], stage}];
       }
     }
     bool ok = true;
     for (const auto& [key, cnt] : load) ok = ok && cnt <= params.alpha;
+    search += 2 * bfs_height;  // failure-bit convergecast + verdict
     if (ok) break;
+    search += params.alpha * stages;  // the failed dissemination pass
+    passed_paper_range = passed_paper_range || range >= paper_range;
+    range = range < paper_range ? std::min(2 * range, paper_range)
+                                : 2 * range;
   }
   EXPECT_GT(attempts, 1);
+  EXPECT_TRUE(passed_paper_range);  // the replay covers the cap and beyond
   EXPECT_EQ(batch.schedule_attempts, attempts);
   EXPECT_EQ(batch.stages, stages);
-  EXPECT_EQ(batch.ledger.entries().front().note,
-            "alpha=1 stages=" + std::to_string(stages));
+  const auto& entries = batch.ledger.entries();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].phase, "treeroute/phase1 schedule search");
+  EXPECT_EQ(entries[0].rounds, search);
+  EXPECT_EQ(entries[0].note, "attempts=" + std::to_string(attempts) +
+                                 " range=" + std::to_string(range));
+  EXPECT_EQ(entries[1].note, "alpha=1 stages=" + std::to_string(stages));
 }
 
 }  // namespace
