@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "congest/message.h"
 #include "primitives/pipelined.h"
 #include "util/threads.h"
 
@@ -154,7 +155,9 @@ int subtree_roots(const TreeBuildScratch& s, graph::Vertex root,
 /// so the constructor groups the positions by that edge once, as packed
 /// (subtree-root slot, depth) records, and keeps only the groups of more
 /// than alpha records (no other group can fail). An attempt draws one start
-/// per subtree root and counts each kept group's stages.
+/// per subtree root and counts each kept group's stages; a dropped group
+/// loads no stage with more than its size, so the largest dropped group and
+/// the kept groups' counted max bound the attempt's max (edge, stage) load.
 class ScheduleVerifier {
  public:
   /// Consumes `sched` (each tree's view is released once read). The
@@ -254,7 +257,11 @@ class ScheduleVerifier {
     group_end_.clear();
     std::size_t kept = 0;
     for (std::size_t e = 0; e < half_edges; ++e) {
-      if (off[e + 1] - off[e] <= static_cast<std::uint32_t>(alpha_)) continue;
+      const std::uint32_t size = off[e + 1] - off[e];
+      if (size <= static_cast<std::uint32_t>(alpha_)) {
+        dropped_max_ = std::max(dropped_max_, static_cast<int>(size));
+        continue;
+      }
       if (kept != off[e]) {  // std::copy's output may not begin in its input
         std::copy(records_.get() + off[e], records_.get() + off[e + 1],
                   records_.get() + kept);
@@ -267,7 +274,10 @@ class ScheduleVerifier {
   /// One attempt: draws every subtree root's start stage from `rng` in
   /// [0, range) (slot order), sets `stages` to the schedule's length and
   /// returns whether no (edge, stage) carries more than alpha broadcasts.
-  bool attempt(util::Rng& rng, std::int64_t range, std::int64_t& stages) {
+  /// On success `load` is an upper bound on the max (edge, stage) load,
+  /// at most alpha.
+  bool attempt(util::Rng& rng, std::int64_t range, std::int64_t& stages,
+               int& load) {
     start_.resize(slot_depth_.size());
     stages = 0;
     for (std::size_t w = 0; w < start_.size(); ++w) {
@@ -284,10 +294,13 @@ class ScheduleVerifier {
           start_[records_[j] >> 32] +
           static_cast<std::int64_t>(records_[j] & 0xffffffffu));
     };
+    load = dropped_max_;
     std::size_t first = 0;
     for (const std::uint32_t last : group_end_) {
       for (std::size_t j = first; j < last; ++j) {
-        if (++count_[stage(j)] > alpha_) return false;
+        const std::int32_t c = ++count_[stage(j)];
+        if (c > alpha_) return false;
+        load = std::max(load, static_cast<int>(c));
       }
       for (std::size_t j = first; j < last; ++j) count_[stage(j)] = 0;
       first = last;
@@ -300,6 +313,7 @@ class ScheduleVerifier {
   std::unique_ptr<std::uint64_t[]> records_;  // slot << 32 | depth
   std::vector<std::uint32_t> group_end_;      // kept groups' record ends
   std::vector<std::uint32_t> slot_depth_;     // max depth per subtree slot
+  int dropped_max_ = 0;                       // largest dropped group
   std::vector<std::int64_t> start_;
   std::vector<std::int32_t> count_;
 };
@@ -521,6 +535,28 @@ DistTreeScheme DistTreeScheme::build(const graph::WeightedGraph& g,
   // moves each member's own local label out of the flat arena, and the
   // heavy portal is itself a member. These are the scheme's shared labels
   // (one per slot, not per member — DESIGN.md §9).
+  //
+  // The same portal labels make up Phase 2's payload (DESIGN.md §2.2): the
+  // portal p(u) of every non-root T' node u broadcasts one record (z, u,
+  // w(p(u)), p(u), its port toward u, ℓ(p(u))), which is all T' holds; each
+  // member derives the light hops, intervals and heavy fields above from T'
+  // and its own Phase-1 output. Records from different portals are not
+  // merged into shared messages.
+  constexpr std::int64_t kRecordWords = 5;
+  for (int slot = 1; slot < r; ++slot) {
+    const auto portal_pos = static_cast<std::size_t>(
+        s.parent_pos[static_cast<std::size_t>(
+            s.roots[static_cast<std::size_t>(slot)])]);
+    const std::int64_t words =
+        kRecordWords +
+        s.tz_labels[static_cast<std::size_t>(
+                        s.sub_off[static_cast<std::size_t>(
+                            s.w_pos[portal_pos])] +
+                        s.member_rank[portal_pos])]
+            .words();
+    out.phase2_messages_ +=
+        (words + congest::kMaxWords - 1) / congest::kMaxWords;
+  }
   out.slot_heavy_label_.assign(static_cast<std::size_t>(r),
                                TzTreeScheme::Label{});
   for (int slot = 0; slot < r; ++slot) {
@@ -577,7 +613,8 @@ DistTreeScheme DistTreeScheme::build(const graph::WeightedGraph& g,
     // label that extended its parent's); these labels stay resident for
     // the scheme's lifetime, so trade one exact-fit copy for the slack.
     lbl.local.light.shrink_to_fit();
-    out.max_label_words_ = std::max(out.max_label_words_, lbl.words());
+    out.max_local_label_words_ =
+        std::max(out.max_local_label_words_, lbl.local.words());
     const auto sidx =
         static_cast<std::size_t>(s.sorted_of_orig[static_cast<std::size_t>(
             s.orig_pos[i])]);
@@ -712,25 +749,22 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
     specs[i] = TreeSpec{};
   });
 
-  // Serial fold in spec order: the running max_label_words enters each
-  // charged tree's phase-2 charge, so the order is part of the ledger
-  // contract. Phase 2 broadcasts two messages per T' node (report edge +
-  // receive table/label), each of O(log² n) words, but only for trees with
-  // u_count >= 2: when T' is the root alone, its global scheme (a' = 0, no
-  // light hops, no heavy child) is known locally, and one bit in the size
-  // convergecast tells the root that no U-vertex lies below it.
-  std::int64_t phase2_words = 0;
-  std::int64_t u_charged = 0;
-  std::int64_t max_label_words = 1;
+  // Per-tree measures fold by sums and maxima only, so the ledger does not
+  // depend on the spec order. Phase 2 broadcasts each tree's records (one
+  // per non-root T' node, counted by DistTreeScheme::build); a one-node T'
+  // has none, and its global scheme (a' = 0, no light hops, no heavy child)
+  // is known locally.
+  std::int64_t phase2_msgs = 0;
+  std::int64_t records = 0;
+  std::int64_t max_local_label_words = 1;
   for (const auto& s : out.schemes) {
     out.max_subtree_depth =
         std::max(out.max_subtree_depth, s.max_subtree_depth());
     out.u_total += s.u_count();
-    max_label_words = std::max(max_label_words, s.max_label_words());
-    if (s.u_count() >= 2) {
-      phase2_words += 2LL * s.u_count() * max_label_words;
-      u_charged += s.u_count();
-    }
+    records += s.u_count() - 1;
+    max_local_label_words =
+        std::max(max_local_label_words, s.max_local_label_words());
+    phase2_msgs += s.phase2_messages();
   }
 
   // Remark-3 staged schedule, found by a doubling search a CONGEST network
@@ -761,7 +795,8 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
                    "staged schedule failed to decongest");
     out.schedule_attempts = attempt + 1;
     util::Rng sched_rng = rng.fork(static_cast<std::uint64_t>(attempt) + 99);
-    const bool ok = verifier.attempt(sched_rng, range, stages);
+    const bool ok =
+        verifier.attempt(sched_rng, range, stages, out.stage_length);
     search_rounds += 2LL * bfs_height;
     if (ok) break;
     search_rounds += static_cast<std::int64_t>(alpha) * stages;
@@ -775,26 +810,27 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
 
   // Phases 0+1 (start-time dissemination, size convergecast, parallel DFS,
   // local label distribution): four staged passes, the label pass carrying
-  // O(log n)-word payloads.
+  // the local TZ labels. A stage lasts L = stage_length rounds: the
+  // accepted attempt's load bound rides on its failure-bit convergecast,
+  // and no (edge, stage) queues more than L messages.
   const std::int64_t label_factor =
-      (max_label_words + congest::kMaxWords - 1) / congest::kMaxWords;
+      (max_local_label_words + congest::kMaxWords - 1) / congest::kMaxWords;
   const std::int64_t staged_rounds =
-      static_cast<std::int64_t>(params.alpha) * stages * (3 + label_factor);
+      static_cast<std::int64_t>(out.stage_length) * stages * (3 + label_factor);
   out.ledger.add("treeroute/phase1 staged subtree passes",
                  congest::CostKind::kAccounted, staged_rounds, 0,
                  "alpha=" + std::to_string(params.alpha) +
+                     " load=" + std::to_string(out.stage_length) +
                      " stages=" + std::to_string(stages));
 
-  // Phase 2: global broadcasts over the BFS backbone (Lemma 1).
-  const std::int64_t phase2_msgs =
-      (phase2_words + congest::kMaxWords - 1) / congest::kMaxWords;
+  // Phase 2: every tree's records over the BFS backbone (Lemma 1).
   out.ledger.add(
       "treeroute/phase2 global broadcast",
       congest::CostKind::kAccounted,
       primitives::pipelined_broadcast_rounds(phase2_msgs, bfs_height),
       phase2_msgs,
       "u_total=" + std::to_string(out.u_total) +
-          " u_charged=" + std::to_string(u_charged));
+          " records=" + std::to_string(records));
   return out;
 }
 

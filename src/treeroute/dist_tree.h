@@ -135,8 +135,13 @@ class DistTreeScheme {
   // Measured construction quantities (consumed by the Remark-3 cost model).
   int max_subtree_depth() const { return max_subtree_depth_; }
   int u_count() const { return u_count_; }
-  /// max over members of label(v).words(), ≥ 1 (batch phase-2 accounting).
-  std::int64_t max_label_words() const { return max_label_words_; }
+  /// max over members of label(v).local.words(), ≥ 1: the payload of the
+  /// Phase-1 label pass (batch accounting).
+  std::int64_t max_local_label_words() const { return max_local_label_words_; }
+  /// CONGEST messages of this tree's Phase-2 records: one record of
+  /// 5 + |ℓ(p(u))| words per non-root T' node u (DESIGN.md §2.2); 0 when
+  /// T' is the root alone.
+  std::int64_t phase2_messages() const { return phase2_messages_; }
 
  private:
   graph::Vertex root_ = graph::kNoVertex;
@@ -148,7 +153,8 @@ class DistTreeScheme {
   std::vector<TzTreeScheme::Label> slot_heavy_label_;
   int max_subtree_depth_ = 0;
   int u_count_ = 0;
-  std::int64_t max_label_words_ = 1;
+  std::int64_t max_local_label_words_ = 1;
+  std::int64_t phase2_messages_ = 0;
 };
 
 /// Per-tree construction view reused by the batch scheduler: members in BFS
@@ -221,6 +227,9 @@ struct DistTreeBatch {
   /// until no (edge, stage) carried more than alpha broadcasts.
   std::int64_t stages = 0;
   int schedule_attempts = 0;
+  /// Rounds per stage the staged passes are charged: an upper bound on the
+  /// accepted schedule's max (edge, stage) load, never above alpha.
+  int stage_length = 0;
 };
 
 /// `specs` is consumed: each spec's storage is released as soon as its tree

@@ -121,11 +121,11 @@ TEST(GoldenRounds, MatchesCommittedRoundsScalingSnapshot) {
   // Subset of the committed snapshot chosen to keep this test under a
   // second while covering both series, both k values and 8× size range.
   const Row rows[] = {
-      {false, 3, 256, 3308},   {false, 3, 512, 2518},
-      {false, 3, 1024, 4988},  {false, 3, 2048, 9376},
-      {false, 4, 256, 2212},   {false, 4, 512, 3356},
-      {false, 4, 1024, 4884},  {true, 3, 256, 26419},
-      {true, 3, 512, 77910},   {true, 3, 1024, 119181},
+      {false, 3, 256, 2336},   {false, 3, 512, 2186},
+      {false, 3, 1024, 3224},  {false, 3, 2048, 6540},
+      {false, 4, 256, 1884},   {false, 4, 512, 2544},
+      {false, 4, 1024, 3254},  {true, 3, 256, 24443},
+      {true, 3, 512, 77758},   {true, 3, 1024, 110633},
   };
   for (const Row& row : rows) {
     util::Rng rng(911 + static_cast<std::uint64_t>(row.n));
@@ -185,18 +185,18 @@ TEST(GoldenImages, FrozenImageAndLedgerDigestsArePinned) {
     std::uint64_t ledger;
   };
   const Row rows[] = {
-      {0, 3, 4.0, 0x96b2110f631dfd2full, 0x2f1d1e957e61e561ull},
-      {0, 3, 0.1, 0x96b2110f631dfd2full, 0x7c02438af1e6e104ull},
-      {0, 5, 4.0, 0x593f4f3a616b4732ull, 0x18d871a28d767106ull},
-      {0, 5, 0.1, 0x593f4f3a616b4732ull, 0x39c3eb41bd760b70ull},
-      {1, 3, 4.0, 0xf5f5a2f889e6e847ull, 0xe2ff60aacf849dfbull},
-      {1, 3, 0.1, 0xf5f5a2f889e6e847ull, 0x36237a11d4289809ull},
-      {1, 5, 4.0, 0xc7e301464cd2f82bull, 0x69660cec78491039ull},
-      {1, 5, 0.1, 0x1b359476947ed220ull, 0x6b895a9647c2ad46ull},
-      {2, 3, 4.0, 0x35530617b3a86059ull, 0x84ecb0391dddd7dull},
-      {2, 3, 0.1, 0x35530617b3a86059ull, 0xae8eaed73820d80cull},
-      {2, 5, 4.0, 0xffee03461643939full, 0x99a0e1c0023733f9ull},
-      {2, 5, 0.1, 0xffee03461643939full, 0x58c99d5ddd6d0545ull},
+      {0, 3, 4.0, 0x96b2110f631dfd2full, 0x544943c5037f3aa2ull},
+      {0, 3, 0.1, 0x96b2110f631dfd2full, 0x69d73337f1f2f309ull},
+      {0, 5, 4.0, 0x593f4f3a616b4732ull, 0x4a068202c6ee4184ull},
+      {0, 5, 0.1, 0x593f4f3a616b4732ull, 0x209ffde3b4f88a26ull},
+      {1, 3, 4.0, 0xf5f5a2f889e6e847ull, 0xb113df190a234587ull},
+      {1, 3, 0.1, 0xf5f5a2f889e6e847ull, 0x3c60a752f9070d5dull},
+      {1, 5, 4.0, 0xc7e301464cd2f82bull, 0x1918ee1ff216e59bull},
+      {1, 5, 0.1, 0x1b359476947ed220ull, 0xd90e6cf3df2fca4ull},
+      {2, 3, 4.0, 0x35530617b3a86059ull, 0xc365be407970c2abull},
+      {2, 3, 0.1, 0x35530617b3a86059ull, 0xf715270abbbf68e2ull},
+      {2, 5, 4.0, 0xffee03461643939full, 0x1a60a013b3655b65ull},
+      {2, 5, 0.1, 0xffee03461643939full, 0xc1081315911ca21ull},
   };
   for (const Row& row : rows) {
     const auto g = make_graph(row.family, 700 + static_cast<std::uint64_t>(

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "congest/message.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
+#include "primitives/bfs_tree.h"
+#include "primitives/pipelined.h"
 #include "treeroute/dist_tree.h"
 #include "treeroute/dist_tree_sim.h"
 
@@ -12,6 +15,18 @@ namespace nors {
 namespace {
 
 using graph::Vertex;
+
+graph::WeightedGraph family_graph(int family) {
+  util::Rng grng(700 + static_cast<std::uint64_t>(family));
+  return family == 0   ? graph::connected_gnm(150, 400,
+                                              graph::WeightSpec::uniform(1, 24),
+                                              grng)
+         : family == 1 ? graph::torus(12, 13, graph::WeightSpec::uniform(1, 9),
+                                      grng)
+                       : graph::clustered(160, 5, 0.35, 40,
+                                          graph::WeightSpec::uniform(1, 12),
+                                          grng);
+}
 
 treeroute::TreeSpec sssp_spec(const graph::WeightedGraph& g, Vertex root) {
   const auto sp = graph::dijkstra(g, root);
@@ -94,21 +109,13 @@ TEST(Phase1Sim, SizesAreSubtreeSizes) {
 }
 
 TEST(DistTreeBatch, SimulatedPhase1FitsTheCharge) {
-  // The staged Phase-1 charge α·stages·(3 + label factor) must stay an
+  // The staged Phase-1 charge L·stages·(3 + label factor) must stay an
   // upper bound on the message-level run of the same passes. One-tree
-  // batches over each graph family of the determinism suite; the batch's
-  // U sample is replayed from its seed (γ = sqrt(n / s), s = 1).
+  // batches over each graph family of the determinism suite, where every
+  // edge carries one broadcast and so L = 1; the batch's U sample is
+  // replayed from its seed (γ = sqrt(n / s), s = 1).
   for (int family = 0; family < 3; ++family) {
-    util::Rng grng(700 + static_cast<std::uint64_t>(family));
-    const auto g =
-        family == 0   ? graph::connected_gnm(150, 400,
-                                             graph::WeightSpec::uniform(1, 24),
-                                             grng)
-        : family == 1 ? graph::torus(12, 13, graph::WeightSpec::uniform(1, 9),
-                                     grng)
-                      : graph::clustered(160, 5, 0.35, 40,
-                                         graph::WeightSpec::uniform(1, 12),
-                                         grng);
+    const auto g = family_graph(family);
     for (const Vertex root : {0, g.n() / 3, 2 * g.n() / 3}) {
       const auto spec = sssp_spec(g, root);
       const std::uint64_t seed = 40 + static_cast<std::uint64_t>(root);
@@ -136,12 +143,62 @@ TEST(DistTreeBatch, SimulatedPhase1FitsTheCharge) {
           charged = e.rounds;
         }
       }
+      ASSERT_EQ(batch.stage_length, 1);
       const auto sim = treeroute::simulate_phase1(g, spec, in_u);
       EXPECT_GT(sim.rounds, 0);
       EXPECT_LE(sim.rounds, charged)
           << "family=" << family << " root=" << root
           << " stages=" << batch.stages;
     }
+  }
+}
+
+TEST(DistTreeBatch, SimulatedPhase2FitsTheCharge) {
+  // Phase 2 is charged as a pipelined broadcast (Lemma 1) of every tree's
+  // record messages. Run that broadcast on the simulator: each record's
+  // portal p(u) holds its ⌈(5 + |ℓ(p(u))|) / kMaxWords⌉ messages as
+  // tokens, convergecast to the BFS root and broadcast back down. The run
+  // must fit the ledger's charge, on a batch of overlapping SSSP trees over
+  // each graph family of the determinism suite.
+  for (int family = 0; family < 3; ++family) {
+    const auto g = family_graph(family);
+    std::vector<treeroute::TreeSpec> specs;
+    for (Vertex root = 0; root < g.n(); root += g.n() / 5) {
+      specs.push_back(sssp_spec(g, root));
+    }
+    const auto bfs = primitives::centralized_bfs_tree(g, 0);
+    treeroute::DistTreeBatchParams params;
+    params.gamma = 24;
+    params.threads = 4;
+    util::Rng batch_rng(60 + static_cast<std::uint64_t>(family));
+    const auto batch = treeroute::build_dist_tree_batch(g, specs, params,
+                                                        bfs.height, batch_rng);
+
+    std::vector<int> tokens(static_cast<std::size_t>(g.n()), 0);
+    std::int64_t total = 0;
+    for (std::size_t t = 0; t < specs.size(); ++t) {
+      const auto& spec = specs[t];
+      const auto& s = batch.schemes[t];
+      for (std::size_t i = 0; i < spec.members.size(); ++i) {
+        const Vertex u = spec.members[i];
+        if (u == spec.root || s.info(u).subtree_root != u) continue;
+        const Vertex portal = spec.parent[i];
+        const std::int64_t words = 5 + s.label(portal).local.words();
+        const auto msgs = static_cast<int>(
+            (words + congest::kMaxWords - 1) / congest::kMaxWords);
+        tokens[static_cast<std::size_t>(portal)] += msgs;
+        total += msgs;
+      }
+    }
+    const auto& phase2 = batch.ledger.entries().back();
+    ASSERT_EQ(phase2.phase, "treeroute/phase2 global broadcast");
+    ASSERT_GT(total, 0);
+    EXPECT_EQ(phase2.messages, total) << "family=" << family;
+    const auto sim = primitives::simulate_pipelined_broadcast(g, bfs, tokens);
+    EXPECT_GE(sim, total);
+    EXPECT_LE(sim, phase2.rounds)
+        << "family=" << family << " messages=" << total
+        << " height=" << bfs.height;
   }
 }
 

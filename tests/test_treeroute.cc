@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -40,6 +41,43 @@ TreeFixture sssp_tree(const graph::WeightedGraph& g, Vertex root) {
     f.spec.parent_port[v] = sp.parent_port[static_cast<std::size_t>(v)];
   }
   return f;
+}
+
+/// One Phase-2 record: the portal p(u) of a non-root T' node u announces
+/// the T' edge (w(p(u)), u) with its port toward u and its own local label.
+/// The tree root z is the record's remaining field (one tree per call).
+struct Phase2Record {
+  Vertex u = graph::kNoVertex;
+  Vertex vi = graph::kNoVertex;  // w(p(u)), the T' parent
+  Vertex portal = graph::kNoVertex;
+  std::int32_t port = graph::kNoPort;  // at the portal, toward u
+  treeroute::TzTreeScheme::Label label;  // ℓ(p(u)) within T_{vi}
+};
+
+/// Records built from the spec and the Phase-1 outputs only: each member's
+/// subtree root w(v) and local label, and the graph's ports.
+std::vector<Phase2Record> phase2_records(const graph::WeightedGraph& g,
+                                         const treeroute::TreeSpec& spec,
+                                         const treeroute::DistTreeScheme& s) {
+  std::vector<Phase2Record> out;
+  for (std::size_t i = 0; i < spec.members.size(); ++i) {
+    const Vertex u = spec.members[i];
+    if (u == spec.root || s.info(u).subtree_root != u) continue;
+    const Vertex p = spec.parent[i];
+    out.push_back({u, s.info(p).subtree_root, p,
+                   g.edge(u, spec.parent_port[i]).rev, s.label(p).local});
+  }
+  return out;
+}
+
+/// Each record travels alone in ⌈(5 + |ℓ|) / kMaxWords⌉ messages.
+std::int64_t record_messages(const std::vector<Phase2Record>& records) {
+  std::int64_t msgs = 0;
+  for (const auto& r : records) {
+    msgs += (5 + r.label.words() + congest::kMaxWords - 1) /
+            congest::kMaxWords;
+  }
+  return msgs;
 }
 
 /// Walks the TZ tree router from u to v; returns total weight.
@@ -337,8 +375,8 @@ TEST(DistTreeBatch, SingleNodeVirtualTreesNeedNoPhase2) {
 TEST(DistTreeBatch, Phase2ChargesOnlyMultiNodeVirtualTrees) {
   // Trees cut from SSSP trees at a few hops from their roots: some contain
   // a sampled vertex (u_count >= 2) and some do not. Phase 2 must charge
-  // exactly Σ_{u_count >= 2} 2·u_count·(running max label words) words,
-  // the running max folded over every tree in spec order.
+  // exactly one record of ⌈(5 + |ℓ(p(u))|) / kMaxWords⌉ messages per
+  // non-root T' node u, so a one-node T' costs nothing.
   util::Rng rng(88);
   const auto g =
       graph::connected_gnm(200, 500, graph::WeightSpec::uniform(1, 9), rng);
@@ -374,22 +412,135 @@ TEST(DistTreeBatch, Phase2ChargesOnlyMultiNodeVirtualTrees) {
   const auto batch = treeroute::build_dist_tree_batch(g, specs, params,
                                                       bfs_height, batch_rng);
 
-  std::int64_t words = 0;
-  std::int64_t max_label_words = 1;
+  std::int64_t msgs = 0;
   int single = 0, multi = 0;
-  for (const auto& s : batch.schemes) {
-    max_label_words = std::max(max_label_words, s.max_label_words());
-    if (s.u_count() >= 2) {
-      words += 2LL * s.u_count() * max_label_words;
-      ++multi;
-    } else {
-      ++single;
-    }
+  for (std::size_t t = 0; t < specs.size(); ++t) {
+    const auto& s = batch.schemes[t];
+    const auto records = phase2_records(g, specs[t], s);
+    ASSERT_EQ(static_cast<int>(records.size()), s.u_count() - 1);
+    EXPECT_EQ(s.phase2_messages(), record_messages(records));
+    msgs += record_messages(records);
+    ++(s.u_count() >= 2 ? multi : single);
   }
   ASSERT_GT(single, 0);
   ASSERT_GT(multi, 0);
-  const std::int64_t msgs =
-      (words + congest::kMaxWords - 1) / congest::kMaxWords;
+  const auto& phase2 = batch.ledger.entries().back();
+  ASSERT_EQ(phase2.phase, "treeroute/phase2 global broadcast");
+  EXPECT_EQ(phase2.messages, msgs);
+  EXPECT_EQ(phase2.rounds, 2 * (bfs_height + msgs));
+}
+
+TEST(DistTreeBatch, VirtualTreeSchemeFollowsFromPhase2Records) {
+  // Phase 2 broadcasts only T': one record per non-root T' node. Rebuild
+  // T' from those records alone — sizes, heavy child, DFS intervals with
+  // children in root-id order, light hops — and every member's global
+  // label and table fields must equal the scheme's: with T' and its own
+  // w(v) a member needs no second message. The ledger must charge exactly
+  // the records' messages.
+  util::Rng rng(89);
+  const auto g =
+      graph::connected_gnm(220, 560, graph::WeightSpec::uniform(1, 9), rng);
+  std::vector<treeroute::TreeSpec> specs;
+  for (Vertex root = 0; root < g.n(); root += 37) {
+    specs.push_back(sssp_tree(g, root).spec);
+  }
+  treeroute::DistTreeBatchParams params;
+  params.gamma = 40;
+  params.threads = 4;  // the pooled builds and verifier passes (TSan leg)
+  const int bfs_height = 7;
+  util::Rng batch_rng(13);
+  const auto batch = treeroute::build_dist_tree_batch(g, specs, params,
+                                                      bfs_height, batch_rng);
+
+  std::int64_t msgs = 0;
+  std::int64_t light_hops = 0;
+  for (std::size_t t = 0; t < specs.size(); ++t) {
+    const auto& s = batch.schemes[t];
+    const Vertex z = specs[t].root;
+    const auto records = phase2_records(g, specs[t], s);
+    msgs += record_messages(records);
+
+    // T' from the records only.
+    std::map<Vertex, const Phase2Record*> rec_of;
+    std::map<Vertex, std::vector<Vertex>> children;  // sorted by root id
+    children[z];
+    for (const auto& r : records) {
+      rec_of[r.u] = &r;
+      children[r.vi].push_back(r.u);
+      children[r.u];
+    }
+    for (auto& [v, ch] : children) std::sort(ch.begin(), ch.end());
+    std::map<Vertex, std::int64_t> size, a;
+    std::map<Vertex, Vertex> heavy;
+    const auto sizes = [&](auto&& self, Vertex v) -> std::int64_t {
+      std::int64_t sz = 1, best = -1;
+      heavy[v] = graph::kNoVertex;
+      for (const Vertex c : children[v]) {
+        const std::int64_t sc = self(self, c);
+        sz += sc;
+        if (sc > best) {  // the first of the largest
+          best = sc;
+          heavy[v] = c;
+        }
+      }
+      return size[v] = sz;
+    };
+    ASSERT_EQ(sizes(sizes, z), s.u_count());
+    using Hops = std::vector<treeroute::DistTreeScheme::GlobalHop>;
+    std::map<Vertex, Hops> light;
+    std::int64_t clock = 0;
+    const auto dfs = [&](auto&& self, Vertex v, const Hops& hops) -> void {
+      a[v] = clock++;
+      light[v] = hops;
+      for (const Vertex c : children[v]) {
+        Hops next = hops;
+        if (c != heavy[v]) {
+          const auto& r = *rec_of.at(c);
+          next.push_back({v, c, r.portal, r.label, r.port});
+        }
+        self(self, c, next);
+      }
+    };
+    dfs(dfs, z, {});
+    ASSERT_EQ(clock, s.u_count());
+
+    for (const Vertex x : specs[t].members) {
+      const Vertex w = s.info(x).subtree_root;  // x's own Phase-1 output
+      const auto& ni = s.info(x);
+      const auto& lbl = s.label(x);
+      EXPECT_EQ(ni.a_prime, a.at(w)) << "x=" << x;
+      EXPECT_EQ(ni.b_prime, a.at(w) + size.at(w)) << "x=" << x;
+      EXPECT_EQ(lbl.a_prime, a.at(w)) << "x=" << x;
+      const Hops& want = light.at(w);
+      ASSERT_EQ(lbl.global_light.size(), want.size()) << "x=" << x;
+      for (std::size_t h = 0; h < want.size(); ++h) {
+        const auto& got = lbl.global_light[h];
+        EXPECT_EQ(got.vi, want[h].vi);
+        EXPECT_EQ(got.wi, want[h].wi);
+        EXPECT_EQ(got.portal, want[h].portal);
+        EXPECT_EQ(got.port, want[h].port);
+        EXPECT_EQ(got.portal_label.a, want[h].portal_label.a);
+        EXPECT_EQ(got.portal_label.light, want[h].portal_label.light);
+      }
+      light_hops += static_cast<std::int64_t>(want.size());
+      const Vertex h = heavy.at(w);
+      EXPECT_EQ(ni.heavy_prime, h) << "x=" << x;
+      const auto& hl = s.heavy_portal_label(x);
+      if (h == graph::kNoVertex) {
+        EXPECT_EQ(ni.heavy_portal, graph::kNoVertex);
+        EXPECT_EQ(ni.heavy_port, graph::kNoPort);
+        EXPECT_EQ(hl.a, 0);
+        EXPECT_TRUE(hl.light.empty());
+      } else {
+        const auto& r = *rec_of.at(h);
+        EXPECT_EQ(ni.heavy_portal, r.portal) << "x=" << x;
+        EXPECT_EQ(ni.heavy_port, r.port) << "x=" << x;
+        EXPECT_EQ(hl.a, r.label.a) << "x=" << x;
+        EXPECT_EQ(hl.light, r.label.light) << "x=" << x;
+      }
+    }
+  }
+  ASSERT_GT(light_hops, 0);  // the rebuild covered light T' edges too
   const auto& phase2 = batch.ledger.entries().back();
   ASSERT_EQ(phase2.phase, "treeroute/phase2 global broadcast");
   EXPECT_EQ(phase2.messages, msgs);
@@ -405,6 +556,10 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
   // the batch's draws (the U sample, then one forked stream per attempt)
   // and count every (child, parent, stage) in a std::map to pin the number
   // of attempts, the stages of the accepted schedule and the search charge.
+  // The staged passes are charged L rounds per stage, L the accepted
+  // schedule's load bound: the max over edges of the edge's counted max
+  // stage load when it carries more than alpha broadcasts in all, else of
+  // that total. L must cover the true max load and never exceed alpha.
   // Every edge is doubled and every other tree hangs off the twin ports:
   // parallel edges to one parent are still one (child, parent) edge.
   util::Rng rng(301);
@@ -428,23 +583,14 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
       }
     }
   }
-  treeroute::DistTreeBatchParams params;
-  params.gamma = 8;
-  params.alpha = 1;
-  params.threads = 1;
+  const double gamma = 8;
   const int bfs_height = 6;
-  util::Rng batch_rng(55);
-  const auto batch = treeroute::build_dist_tree_batch(g, specs, params,
-                                                      bfs_height, batch_rng);
-
   const int n = g.n();
   const auto s = static_cast<int>(specs.size());  // every tree spans V
-  ASSERT_EQ(batch.max_overlap, s);
   util::Rng ref_rng(55);
   std::vector<char> in_u(static_cast<std::size_t>(n), 0);
   for (Vertex v = 0; v < n; ++v) {
-    in_u[static_cast<std::size_t>(v)] =
-        ref_rng.bernoulli(params.gamma / n) ? 1 : 0;
+    in_u[static_cast<std::size_t>(v)] = ref_rng.bernoulli(gamma / n) ? 1 : 0;
   }
   std::vector<treeroute::TreeSchedule> sched(specs.size());
   treeroute::TreeBuildScratch scratch;
@@ -455,54 +601,107 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
       static_cast<std::int64_t>(std::log(static_cast<double>(n)));
   const std::int64_t paper_range =
       static_cast<std::int64_t>(std::sqrt(static_cast<double>(n) * s)) * ln_n;
-  std::int64_t range = 1;
-  int attempts = 0;
-  std::int64_t stages = 0;
-  std::int64_t search = 0;
-  bool passed_paper_range = false;
-  for (;;) {
-    ASSERT_LT(attempts, 40);
-    util::Rng sched_rng = ref_rng.fork(static_cast<std::uint64_t>(attempts) +
-                                       99);
-    ++attempts;
-    std::map<std::tuple<Vertex, Vertex, std::int64_t>, int> load;
-    stages = 0;
-    for (std::size_t t = 0; t < sched.size(); ++t) {
-      const auto& ts = sched[t];
-      std::vector<std::int64_t> start(ts.order.size(), 0);
-      for (std::size_t i = 0; i < ts.order.size(); ++i) {
-        if (ts.w_pos[i] == static_cast<int>(i)) {
-          start[i] = static_cast<std::int64_t>(
-              sched_rng.uniform(static_cast<std::uint64_t>(range)));
-          continue;
+
+  struct Replay {
+    int attempts = 0;
+    std::int64_t range = 1;
+    std::int64_t stages = 0;
+    std::int64_t search = 0;
+    bool passed_paper_range = false;
+    int max_load = 0;    // the accepted schedule's true max load
+    int load_bound = 0;  // the bound L the batch must report
+  };
+  const auto replay = [&](int alpha) {
+    Replay r;
+    util::Rng draws = ref_rng;  // the batch's stream after the U sample
+    for (;;) {
+      if (r.attempts >= 40) {
+        ADD_FAILURE() << "alpha=" << alpha << ": search did not converge";
+        return r;
+      }
+      util::Rng sched_rng =
+          draws.fork(static_cast<std::uint64_t>(r.attempts) + 99);
+      ++r.attempts;
+      std::map<std::tuple<Vertex, Vertex, std::int64_t>, int> load;
+      std::map<std::pair<Vertex, Vertex>, int> edge_total;
+      r.stages = 0;
+      for (std::size_t t = 0; t < sched.size(); ++t) {
+        const auto& ts = sched[t];
+        std::vector<std::int64_t> start(ts.order.size(), 0);
+        for (std::size_t i = 0; i < ts.order.size(); ++i) {
+          if (ts.w_pos[i] == static_cast<int>(i)) {
+            start[i] = static_cast<std::int64_t>(
+                sched_rng.uniform(static_cast<std::uint64_t>(r.range)));
+            continue;
+          }
+          const std::int64_t stage =
+              start[static_cast<std::size_t>(ts.w_pos[i])] + ts.depth[i];
+          r.stages = std::max(r.stages, stage + 1);
+          const Vertex v = ts.order[i];  // members are 0..n-1 in spec order
+          const Vertex p = specs[t].parent[static_cast<std::size_t>(v)];
+          ++load[{v, p, stage}];
+          ++edge_total[{v, p}];
         }
-        const std::int64_t stage =
-            start[static_cast<std::size_t>(ts.w_pos[i])] + ts.depth[i];
-        stages = std::max(stages, stage + 1);
-        const Vertex v = ts.order[i];  // members are 0..n-1 in spec order
-        ++load[{v, specs[t].parent[static_cast<std::size_t>(v)], stage}];
+      }
+      bool ok = true;
+      r.max_load = 0;
+      r.load_bound = 0;
+      for (const auto& [key, cnt] : load) {
+        ok = ok && cnt <= alpha;
+        r.max_load = std::max(r.max_load, cnt);
+        const int total =
+            edge_total.at({std::get<0>(key), std::get<1>(key)});
+        r.load_bound = std::max(r.load_bound, total <= alpha ? total : cnt);
+      }
+      r.search += 2 * bfs_height;  // failure-bit convergecast + verdict
+      if (ok) return r;
+      r.search += alpha * r.stages;  // the failed dissemination pass
+      r.passed_paper_range = r.passed_paper_range || r.range >= paper_range;
+      r.range = r.range < paper_range ? std::min(2 * r.range, paper_range)
+                                      : 2 * r.range;
+    }
+  };
+
+  for (const int alpha : {1, 4}) {
+    SCOPED_TRACE("alpha=" + std::to_string(alpha));
+    treeroute::DistTreeBatchParams params;
+    params.gamma = gamma;
+    params.alpha = alpha;
+    params.threads = 1;
+    util::Rng batch_rng(55);
+    const auto batch = treeroute::build_dist_tree_batch(
+        g, specs, params, bfs_height, batch_rng);
+    ASSERT_EQ(batch.max_overlap, s);
+    const Replay r = replay(alpha);
+    if (alpha == 1) {
+      EXPECT_GT(r.attempts, 1);
+      EXPECT_TRUE(r.passed_paper_range);  // the replay covers R and beyond
+    }
+    EXPECT_EQ(batch.schedule_attempts, r.attempts);
+    EXPECT_EQ(batch.stages, r.stages);
+    EXPECT_EQ(batch.stage_length, r.load_bound);
+    EXPECT_GE(batch.stage_length, r.max_load);
+    EXPECT_LE(batch.stage_length, alpha);
+    std::int64_t local_words = 1;
+    for (const auto& scheme : batch.schemes) {
+      for (std::size_t i = 0; i < scheme.members().size(); ++i) {
+        local_words = std::max(local_words, scheme.label_at(i).local.words());
       }
     }
-    bool ok = true;
-    for (const auto& [key, cnt] : load) ok = ok && cnt <= params.alpha;
-    search += 2 * bfs_height;  // failure-bit convergecast + verdict
-    if (ok) break;
-    search += params.alpha * stages;  // the failed dissemination pass
-    passed_paper_range = passed_paper_range || range >= paper_range;
-    range = range < paper_range ? std::min(2 * range, paper_range)
-                                : 2 * range;
+    const std::int64_t label_factor =
+        (local_words + congest::kMaxWords - 1) / congest::kMaxWords;
+    const auto& entries = batch.ledger.entries();
+    ASSERT_EQ(entries.size(), 3u);
+    EXPECT_EQ(entries[0].phase, "treeroute/phase1 schedule search");
+    EXPECT_EQ(entries[0].rounds, r.search);
+    EXPECT_EQ(entries[0].note, "attempts=" + std::to_string(r.attempts) +
+                                   " range=" + std::to_string(r.range));
+    EXPECT_EQ(entries[1].rounds,
+              r.load_bound * r.stages * (3 + label_factor));
+    EXPECT_EQ(entries[1].note, "alpha=" + std::to_string(alpha) +
+                                   " load=" + std::to_string(r.load_bound) +
+                                   " stages=" + std::to_string(r.stages));
   }
-  EXPECT_GT(attempts, 1);
-  EXPECT_TRUE(passed_paper_range);  // the replay covers the cap and beyond
-  EXPECT_EQ(batch.schedule_attempts, attempts);
-  EXPECT_EQ(batch.stages, stages);
-  const auto& entries = batch.ledger.entries();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].phase, "treeroute/phase1 schedule search");
-  EXPECT_EQ(entries[0].rounds, search);
-  EXPECT_EQ(entries[0].note, "attempts=" + std::to_string(attempts) +
-                                 " range=" + std::to_string(range));
-  EXPECT_EQ(entries[1].note, "alpha=1 stages=" + std::to_string(stages));
 }
 
 }  // namespace
