@@ -16,6 +16,7 @@
 #include "baselines/lp_baseline.h"
 #include "common.h"
 #include "core/scheme.h"
+#include "primitives/bfs_tree.h"
 #include "tz/tz_routing.h"
 
 int main() {
@@ -24,6 +25,8 @@ int main() {
   const std::uint64_t seed = 20160725;  // PODC'16
   const auto g = bench::bench_graph(n, seed);
   const int diameter = graph::hop_diameter(g);
+  // The scheme's broadcast backbone: a BFS tree rooted at vertex 0.
+  const auto bfs = primitives::centralized_bfs_tree(g, 0);
   bench::print_header("T1 / Table 1",
                       "rounds, table words, label words, stretch");
   std::printf("graph: connected G(n,m) n=%d m=%lld D=%d\n\n", g.n(),
@@ -56,8 +59,8 @@ int main() {
     }
     // --- LP13a-style baseline.
     {
-      const auto s = baselines::LpBaselineScheme::build(
-          g, {k, seed, 1.0}, diameter);
+      const auto s =
+          baselines::LpBaselineScheme::build(g, {k, seed, 1.0}, bfs);
       const auto st = bench::measure_stretch(
           g, [&](graph::Vertex u, graph::Vertex v) {
             return s.route(u, v).length;

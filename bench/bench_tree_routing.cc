@@ -12,6 +12,7 @@
 
 #include "common.h"
 #include "graph/shortest_paths.h"
+#include "primitives/bfs_tree.h"
 #include "treeroute/dist_tree.h"
 
 namespace {
@@ -63,7 +64,8 @@ int main() {
     const auto g = broom(n);
     std::vector<treeroute::TreeSpec> specs{sssp_spec(g, 0)};
     util::Rng rng(5);
-    const auto batch = treeroute::build_dist_tree_batch(g, specs, {}, 2, rng);
+    const auto batch = treeroute::build_dist_tree_batch(
+        g, specs, {}, primitives::centralized_bfs_tree(g, 0), rng);
     single.add_row(
         {std::to_string(n), std::to_string(n - 2),
          util::TextTable::fmt(batch.ledger.total_rounds()),
@@ -81,7 +83,7 @@ int main() {
   // √s, far below the s× cost of separate builds.
   const int n = std::min(n_max, 2048);
   const auto g = bench::bench_graph(n, 2024);
-  const int d = graph::hop_diameter(g);
+  const auto bfs = primitives::centralized_bfs_tree(g, 0);
   std::printf("-- Remark 3 batching, G(n,3n), n=%d --\n", n);
   util::TextTable batch_t({"#trees (s)", "batch rounds", "s x single",
                            "sqrt(s) ref ratio"});
@@ -93,7 +95,7 @@ int main() {
           g, static_cast<graph::Vertex>((i * 131) % g.n())));
     }
     util::Rng rng(6);
-    const auto batch = treeroute::build_dist_tree_batch(g, specs, {}, d, rng);
+    const auto batch = treeroute::build_dist_tree_batch(g, specs, {}, bfs, rng);
     if (s == 1) single_rounds = batch.ledger.total_rounds();
     batch_t.add_row(
         {std::to_string(s), util::TextTable::fmt(batch.ledger.total_rounds()),
@@ -110,13 +112,14 @@ int main() {
   std::printf("-- gamma sweep on the deep tree, n=%d --\n", n);
   util::TextTable gam({"gamma", "rounds", "max subtree depth", "|U| total"});
   const auto deep = broom(n);
+  const auto deep_bfs = primitives::centralized_bfs_tree(deep, 0);
   std::vector<treeroute::TreeSpec> specs{sssp_spec(deep, 0)};
   for (double gamma : {4.0, 16.0, 64.0, 256.0, 1024.0, 0.0 /*Remark 3*/}) {
     treeroute::DistTreeBatchParams params;
     params.gamma = gamma;
     util::Rng rng(7);
     const auto batch =
-        treeroute::build_dist_tree_batch(deep, specs, params, 2, rng);
+        treeroute::build_dist_tree_batch(deep, specs, params, deep_bfs, rng);
     gam.add_row({gamma == 0 ? "sqrt(n/s)" : util::TextTable::fmt(gamma, 0),
                  util::TextTable::fmt(batch.ledger.total_rounds()),
                  std::to_string(batch.max_subtree_depth),

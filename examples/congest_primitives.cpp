@@ -41,7 +41,7 @@ int main() {
               "(Lemma-1 charge %lld)\n",
               total, static_cast<long long>(rounds),
               static_cast<long long>(
-                  primitives::pipelined_broadcast_rounds(total, tree.height)));
+                  primitives::pipelined_broadcast_rounds(tree, tokens)));
 
   // 3. Set Bellman–Ford: every vertex learns its distance to a vertex set —
   //    the exact-pivot computation of the routing scheme.

@@ -21,7 +21,7 @@ using graph::Vertex;
 
 LpBaselineScheme LpBaselineScheme::build(const graph::WeightedGraph& g,
                                          const Params& params,
-                                         int bfs_height) {
+                                         const primitives::BfsTree& bfs) {
   NORS_CHECK(params.k >= 1);
   LpBaselineScheme s;
   s.g_ = &g;
@@ -138,6 +138,9 @@ LpBaselineScheme LpBaselineScheme::build(const graph::WeightedGraph& g,
 
   // 6. Round-cost charges (see DESIGN.md): skeleton Voronoi growth, virtual
   // graph assembly, k spanner phases, spanner broadcast to all vertices.
+  // The broadcasts are pipelined over `bfs` (Lemma 1) from their senders:
+  // each virtual edge's realizing endpoint x, every skeleton vertex in each
+  // of the k sequential phases, and x again for each skeleton-edge record.
   int max_hops = 0;
   for (Vertex v = 0; v < n; ++v) {
     max_hops = std::max(max_hops,
@@ -146,24 +149,33 @@ LpBaselineScheme LpBaselineScheme::build(const graph::WeightedGraph& g,
   s.ledger_.add("lp13/voronoi growth", congest::CostKind::kAccounted,
                 static_cast<std::int64_t>(max_hops) + 1, 0,
                 "hops=" + std::to_string(max_hops));
+  std::vector<int> tokens(static_cast<std::size_t>(n), 0);
+  for (const auto& [key, real] : virt) {
+    ++tokens[static_cast<std::size_t>(real.x)];
+  }
   s.ledger_.add("lp13/virtual graph", congest::CostKind::kAccounted,
-                primitives::pipelined_broadcast_rounds(
-                    static_cast<std::int64_t>(virt.size()), bfs_height));
-  s.ledger_.add(
-      "lp13/spanner phases", congest::CostKind::kAccounted,
-      static_cast<std::int64_t>(params.k) *
-          primitives::pipelined_broadcast_rounds(
-              static_cast<std::int64_t>(s.skeleton_.size()), bfs_height));
-  // Each spanner edge record: (r1, r2, w, x, y, port, label) — count words.
-  std::int64_t words = 0;
+                primitives::pipelined_broadcast_rounds(bfs, tokens),
+                static_cast<std::int64_t>(virt.size()));
+  std::fill(tokens.begin(), tokens.end(), 0);
+  for (const Vertex r : s.skeleton_) ++tokens[static_cast<std::size_t>(r)];
+  s.ledger_.add("lp13/spanner phases", congest::CostKind::kAccounted,
+                static_cast<std::int64_t>(params.k) *
+                    primitives::pipelined_broadcast_rounds(bfs, tokens),
+                static_cast<std::int64_t>(params.k) *
+                    static_cast<std::int64_t>(s.skeleton_.size()));
+  // Each spanner edge record: (r1, r2, w, x, y, port, label) in its own
+  // ⌈words / kMaxWords⌉ messages.
+  std::fill(tokens.begin(), tokens.end(), 0);
+  std::int64_t messages = 0;
   for (const auto& e : s.skeleton_edges_) {
-    words += 6 + e.x_label.words();
+    const std::int64_t words = 6 + e.x_label.words();
+    const auto msgs = static_cast<int>((words + congest::kMaxWords - 1) /
+                                       congest::kMaxWords);
+    tokens[static_cast<std::size_t>(e.x)] += msgs;
+    messages += msgs;
   }
   s.ledger_.add("lp13/spanner broadcast", congest::CostKind::kAccounted,
-                primitives::pipelined_broadcast_rounds(
-                    (words + congest::kMaxWords - 1) / congest::kMaxWords,
-                    bfs_height),
-                words / congest::kMaxWords);
+                primitives::pipelined_broadcast_rounds(bfs, tokens), messages);
   return s;
 }
 

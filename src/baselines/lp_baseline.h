@@ -7,6 +7,7 @@
 #include "baselines/spanner.h"
 #include "congest/ledger.h"
 #include "graph/graph.h"
+#include "primitives/bfs_tree.h"
 #include "treeroute/tz_tree.h"
 
 namespace nors::baselines {
@@ -32,9 +33,10 @@ class LpBaselineScheme {
   };
 
   /// Keeps a reference to `g`; the graph must outlive the scheme and keep
-  /// a stable address.
+  /// a stable address. `bfs` is the broadcast backbone the ledger charges.
   static LpBaselineScheme build(const graph::WeightedGraph& g,
-                                const Params& params, int bfs_height);
+                                const Params& params,
+                                const primitives::BfsTree& bfs);
 
   RouteResult route(graph::Vertex u, graph::Vertex v) const;
 

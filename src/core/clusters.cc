@@ -22,6 +22,50 @@ std::int64_t ln_ceil(int n) {
       1, static_cast<std::int64_t>(std::ceil(std::log(std::max(2, n)))));
 }
 
+/// The Lemma-1 charge of a sequence of pipelined broadcasts over the BFS
+/// tree, one per Bellman–Ford iteration: iteration t+1 sends only after
+/// iteration t's values have arrived, so the broadcasts' exact counts add.
+/// Each message is a token at its sender; a sequence that sent nothing is
+/// still charged one token at the root.
+class BroadcastCharge {
+ public:
+  explicit BroadcastCharge(const primitives::BfsTree& bfs)
+      : bfs_(bfs), tokens_(bfs.parent.size(), 0) {}
+
+  void send(Vertex sender) {
+    ++tokens_[static_cast<std::size_t>(sender)];
+    ++pending_;
+  }
+  /// Ends the current broadcast.
+  void flush() {
+    if (pending_ == 0) return;
+    rounds_ += primitives::pipelined_broadcast_rounds(bfs_, tokens_);
+    messages_ += pending_;
+    pending_ = 0;
+    std::fill(tokens_.begin(), tokens_.end(), 0);
+  }
+  std::int64_t rounds() {
+    flush();
+    if (messages_ > 0) return rounds_;
+    tokens_[static_cast<std::size_t>(bfs_.root)] = 1;
+    const std::int64_t floor =
+        primitives::pipelined_broadcast_rounds(bfs_, tokens_);
+    tokens_[static_cast<std::size_t>(bfs_.root)] = 0;
+    return floor;
+  }
+  std::int64_t messages() {
+    flush();
+    return messages_;
+  }
+
+ private:
+  const primitives::BfsTree& bfs_;
+  std::vector<int> tokens_;
+  std::int64_t pending_ = 0;
+  std::int64_t messages_ = 0;
+  std::int64_t rounds_ = 0;
+};
+
 }  // namespace
 
 LevelKind classify_level(int i, int k) {
@@ -128,7 +172,8 @@ Preprocess build_preprocess(const graph::WeightedGraph& g,
 void compute_approx_pivots(const graph::WeightedGraph& g,
                            const primitives::Hierarchy& h,
                            const Preprocess& pre, PivotTable& pivots,
-                           int bfs_height, congest::RoundLedger& ledger) {
+                           const primitives::BfsTree& bfs,
+                           congest::RoundLedger& ledger) {
   const int n = g.n();
   const int k = pivots.k;
   const int m = static_cast<int>(pre.vprime.size());
@@ -147,7 +192,7 @@ void compute_approx_pivots(const graph::WeightedGraph& g,
       src[static_cast<std::size_t>(idx)] = a;
       frontier[static_cast<std::size_t>(idx)] = 1;
     }
-    std::int64_t messages = 0;
+    BroadcastCharge charge(bfs);
     for (int it = 0; it < beta; ++it) {
       std::vector<char> next_frontier(static_cast<std::size_t>(m), 0);
       bool any = false;
@@ -156,7 +201,7 @@ void compute_approx_pivots(const graph::WeightedGraph& g,
       const std::vector<Vertex> snap_src = src;
       for (int v = 0; v < m; ++v) {
         if (!frontier[static_cast<std::size_t>(v)]) continue;
-        ++messages;  // v broadcasts its (dist, src) pair
+        charge.send(pre.vprime[static_cast<std::size_t>(v)]);  // (dist, src)
         for (const auto& e : pre.gpp_adj[static_cast<std::size_t>(v)]) {
           const Dist nd = snap[static_cast<std::size_t>(v)] + e.w;
           if (nd < dist[static_cast<std::size_t>(e.to)]) {
@@ -168,6 +213,7 @@ void compute_approx_pivots(const graph::WeightedGraph& g,
           }
         }
       }
+      charge.flush();
       frontier = std::move(next_frontier);
       if (!any) break;
     }
@@ -188,12 +234,9 @@ void compute_approx_pivots(const graph::WeightedGraph& g,
       pivots.dist[static_cast<std::size_t>(i) * n + y] = best;
       pivots.pivot[static_cast<std::size_t>(i) * n + y] = best_src;
     }
-    ledger.add(
-        "pivots/approx level " + std::to_string(i),
-        congest::CostKind::kAccounted,
-        primitives::pipelined_broadcast_rounds(std::max<std::int64_t>(1, messages),
-                                               bfs_height),
-        messages, "beta=" + std::to_string(beta));
+    ledger.add("pivots/approx level " + std::to_string(i),
+               congest::CostKind::kAccounted, charge.rounds(),
+               charge.messages(), "beta=" + std::to_string(beta));
   }
   (void)g;
 }
@@ -298,7 +341,8 @@ std::vector<ClusterTree> build_middle_level_trees(
 std::vector<ClusterTree> build_large_level_trees(
     const graph::WeightedGraph& g, const primitives::Hierarchy& h, int level,
     const PivotTable& pivots, const Preprocess& pre,
-    const SchemeParams& params, int bfs_height, congest::RoundLedger& ledger) {
+    const SchemeParams& params, const primitives::BfsTree& bfs,
+    congest::RoundLedger& ledger) {
   const int n = g.n();
   const int m = static_cast<int>(pre.vprime.size());
   const int beta = pre.beta();
@@ -347,15 +391,16 @@ std::vector<ClusterTree> build_large_level_trees(
   }
 
   // Phase 1: β synchronous Bellman–Ford iterations over G''.
-  std::int64_t messages = 0;
+  BroadcastCharge phase1(bfs);
   for (int it = 0; it < beta && !frontier.empty(); ++it) {
     // Snapshot the frontier values (synchronous semantics).
     std::vector<std::tuple<int, int, Dist>> sends;
     sends.reserve(frontier.size());
     for (const auto& [v, s] : frontier) {
       sends.emplace_back(v, s, state[cell(v, s)].b);
+      phase1.send(pre.vprime[static_cast<std::size_t>(v)]);
     }
-    messages += static_cast<std::int64_t>(sends.size());
+    phase1.flush();
     std::vector<std::pair<int, int>> next;
     for (const auto& [v, s, bv] : sends) {
       for (const auto& e : pre.gpp_adj[static_cast<std::size_t>(v)]) {
@@ -375,10 +420,8 @@ std::vector<ClusterTree> build_large_level_trees(
     frontier = std::move(next);
   }
   ledger.add("clusters/large level " + std::to_string(level) + " phase1",
-             congest::CostKind::kAccounted,
-             primitives::pipelined_broadcast_rounds(
-                 std::max<std::int64_t>(1, messages), bfs_height),
-             messages, "beta=" + std::to_string(beta));
+             congest::CostKind::kAccounted, phase1.rounds(), phase1.messages(),
+             "beta=" + std::to_string(beta));
 
   // Phase 1.5: re-anchor hopset-edge parents along their realizing paths.
   // Candidates are computed from a snapshot of the phase-1 values, applied
@@ -386,7 +429,8 @@ std::vector<ClusterTree> build_large_level_trees(
   // semantics); tied candidates resolve in the canonical (V' index, slot)
   // scan order. The snapshot is scoped to this phase: it is freed before
   // the phase-2 extension allocates, so the two never overlap in RSS.
-  std::int64_t fixups = 0;
+  // Each fix-up is a message from the member v whose hopset edge it walks.
+  BroadcastCharge fixups(bfs);
   {
   util::Buffer<VState> snapshot;
   std::memcpy(snapshot.ensure(state.size()), state.data(),
@@ -419,7 +463,7 @@ std::vector<ClusterTree> build_large_level_trees(
         VState& zs = state[cell(z, s)];
         if (cand <= zs.b) {
           zs = {cand, z_prev, -1};
-          ++fixups;
+          fixups.send(pre.vprime[static_cast<std::size_t>(v)]);
         }
       }
     }
@@ -427,9 +471,7 @@ std::vector<ClusterTree> build_large_level_trees(
   }  // snapshot freed here
   ledger.add("clusters/large level " + std::to_string(level) + " phase1.5",
              congest::CostKind::kAccounted,
-             primitives::pipelined_broadcast_rounds(
-                 std::max<std::int64_t>(1, fixups), bfs_height),
-             fixups);
+             fixups.rounds(), fixups.messages());
 
   // All virtual parents must now be G' neighbors (or roots).
   for (int v = 0; v < m; ++v) {
@@ -452,12 +494,12 @@ std::vector<ClusterTree> build_large_level_trees(
   // Per root slot, the broadcasting members (V' index, b) in CSR layout,
   // V'-ascending within each slot (the historical tie-break order).
   std::vector<int> bc_cnt(static_cast<std::size_t>(r), 0);
-  std::int64_t phase2_msgs = 0;
+  BroadcastCharge phase2(bfs);
   for (int v = 0; v < m; ++v) {
     for (int s = 0; s < r; ++s) {
       if (!graph::is_inf(state[cell(v, s)].b)) {
         ++bc_cnt[static_cast<std::size_t>(s)];
-        ++phase2_msgs;
+        phase2.send(pre.vprime[static_cast<std::size_t>(v)]);
       }
     }
   }
@@ -467,7 +509,7 @@ std::vector<ClusterTree> build_large_level_trees(
         bc_off[static_cast<std::size_t>(s)] + bc_cnt[static_cast<std::size_t>(s)];
   }
   std::vector<std::pair<int, Dist>> bc(
-      static_cast<std::size_t>(phase2_msgs));
+      static_cast<std::size_t>(phase2.messages()));
   {
     std::vector<int> cursor(bc_off.begin(), bc_off.end() - 1);
     for (int v = 0; v < m; ++v) {
@@ -545,9 +587,7 @@ std::vector<ClusterTree> build_large_level_trees(
   util::parallel_for(nthreads, static_cast<std::size_t>(r), extend);
   ledger.add("clusters/large level " + std::to_string(level) + " phase2",
              congest::CostKind::kAccounted,
-             primitives::pipelined_broadcast_rounds(
-                 std::max<std::int64_t>(1, phase2_msgs), bfs_height),
-             phase2_msgs);
+             phase2.rounds(), phase2.messages());
   return trees;
 }
 

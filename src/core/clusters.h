@@ -8,6 +8,7 @@
 #include "core/pivots.h"
 #include "graph/graph.h"
 #include "hopset/hopset.h"
+#include "primitives/bfs_tree.h"
 #include "primitives/hierarchy.h"
 #include "primitives/source_detection.h"
 #include "util/random.h"
@@ -49,10 +50,13 @@ Preprocess build_preprocess(const graph::WeightedGraph& g,
 /// Fills the approximate pivot rows (levels > last_exact_pivot_level) of
 /// `pivots` via Theorem 3: β Bellman–Ford iterations over G'' rooted at A_i,
 /// then extension to all of V through the source-detection values (40).
+/// Each iteration is charged as a pipelined broadcast over `bfs` from its
+/// senders.
 void compute_approx_pivots(const graph::WeightedGraph& g,
                            const primitives::Hierarchy& h,
                            const Preprocess& pre, PivotTable& pivots,
-                           int bfs_height, congest::RoundLedger& ledger);
+                           const primitives::BfsTree& bfs,
+                           congest::RoundLedger& ledger);
 
 /// One member of a cluster tree C̃(u).
 struct ClusterMember {
@@ -118,11 +122,13 @@ std::vector<ClusterTree> build_middle_level_trees(
 /// with condition (14)), Phase 1.5 (path-reporting fix-up of hopset-edge
 /// parents), Phase 2 (extension to V with condition (15)). Per-root state
 /// lives in one dense |V'| × |roots| slot arena (root slot = index into the
-/// level's root list), so every sweep is a linear scan.
+/// level's root list), so every sweep is a linear scan. Every phase is
+/// charged as pipelined broadcasts over `bfs` from its senders.
 std::vector<ClusterTree> build_large_level_trees(
     const graph::WeightedGraph& g, const primitives::Hierarchy& h, int level,
     const PivotTable& pivots, const Preprocess& pre,
-    const SchemeParams& params, int bfs_height, congest::RoundLedger& ledger);
+    const SchemeParams& params, const primitives::BfsTree& bfs,
+    congest::RoundLedger& ledger);
 
 /// Validates Claim 7 on every tree (parent is a member over a real edge and
 /// b_v ≥ w(v,p) + b_p), pruning any member whose parent chain is broken

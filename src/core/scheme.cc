@@ -84,7 +84,7 @@ RoutingScheme RoutingScheme::build(const graph::WeightedGraph& g,
       pre = build_preprocess(g, h, attempt_params, height, attempt_ledger,
                              rng);
       s.beta_ = pre.beta();
-      compute_approx_pivots(g, h, pre, s.pivots_, height, attempt_ledger);
+      compute_approx_pivots(g, h, pre, s.pivots_, bfs, attempt_ledger);
     }
 
     for (int i = 0; i < k; ++i) {
@@ -109,7 +109,7 @@ RoutingScheme RoutingScheme::build(const graph::WeightedGraph& g,
           break;
         case LevelKind::kLarge:
           level_trees = build_large_level_trees(g, h, i, s.pivots_, pre,
-                                                attempt_params, height,
+                                                attempt_params, bfs,
                                                 attempt_ledger);
           break;
       }
@@ -164,7 +164,7 @@ RoutingScheme RoutingScheme::build(const graph::WeightedGraph& g,
   ::malloc_trim(0);
 #endif
   s.tree_schemes_ = std::make_shared<treeroute::DistTreeBatch>(
-      treeroute::build_dist_tree_batch(g, std::move(specs), tp, height,
+      treeroute::build_dist_tree_batch(g, std::move(specs), tp, bfs,
                                        tree_rng));
   s.ledger_.merge(s.tree_schemes_->ledger);
 

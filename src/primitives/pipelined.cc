@@ -1,5 +1,6 @@
 #include "primitives/pipelined.h"
 
+#include <algorithm>
 #include <deque>
 #include <unordered_map>
 
@@ -104,10 +105,60 @@ class PipelineProgram : public congest::NodeProgram {
 
 }  // namespace
 
-std::int64_t pipelined_broadcast_rounds(std::int64_t messages, int height) {
-  NORS_CHECK(messages >= 0 && height >= 0);
-  if (messages == 0) return 0;
-  return 2 * (static_cast<std::int64_t>(height) + messages);
+std::int64_t pipelined_broadcast_rounds(const BfsTree& tree,
+                                        const std::vector<int>& tokens) {
+  const std::size_t n = tree.parent.size();
+  NORS_CHECK(tokens.size() == n);
+  if (n == 0) return 0;
+  // A run of `count` tokens leaving a vertex in consecutive rounds from
+  // `first` on (round 1 is the first round of the broadcast).
+  struct Run {
+    std::int64_t first = 0;
+    std::int64_t count = 0;
+  };
+  std::vector<Vertex> order{tree.root};
+  order.reserve(n);
+  for (std::size_t h = 0; h < order.size(); ++h) {
+    const auto& ch = tree.children[static_cast<std::size_t>(order[h])];
+    order.insert(order.end(), ch.begin(), ch.end());
+  }
+  // Children before parents: a vertex's arrivals are its own tokens in
+  // round 1 and each child's sends one round later. It forwards one token
+  // per round while its queue is non-empty, so its sends are the arrivals
+  // merged by start: a run starting no later than the current busy period
+  // ends extends it by its count, a later one opens a new period. At the
+  // root the sends are the down emissions.
+  std::vector<std::vector<Run>> sends(n);
+  std::vector<Run> arrivals;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const auto v = static_cast<std::size_t>(*it);
+    arrivals.clear();
+    NORS_CHECK(tokens[v] >= 0);
+    if (tokens[v] > 0) arrivals.push_back({1, tokens[v]});
+    for (const Vertex c : tree.children[v]) {
+      auto& sc = sends[static_cast<std::size_t>(c)];
+      for (const Run& r : sc) arrivals.push_back({r.first + 1, r.count});
+      std::vector<Run>().swap(sc);
+    }
+    if (arrivals.empty()) continue;
+    std::sort(arrivals.begin(), arrivals.end(),
+              [](const Run& a, const Run& b) { return a.first < b.first; });
+    auto& out = sends[v];
+    Run cur = arrivals.front();
+    for (std::size_t i = 1; i < arrivals.size(); ++i) {
+      const Run& r = arrivals[i];
+      if (r.first <= cur.first + cur.count) {
+        cur.count += r.count;
+      } else {
+        out.push_back(cur);
+        cur = r;
+      }
+    }
+    out.push_back(cur);
+  }
+  const auto& emitted = sends[static_cast<std::size_t>(tree.root)];
+  if (emitted.empty()) return 0;
+  return emitted.back().first + emitted.back().count - 1 + tree.height;
 }
 
 std::int64_t simulate_pipelined_broadcast(const graph::WeightedGraph& g,

@@ -153,11 +153,11 @@ int subtree_roots(const TreeBuildScratch& s, graph::Vertex root,
 /// fails when more than alpha broadcasts share one (edge, stage). Every
 /// forest edge is the (child, parent) edge of a non-subtree-root position,
 /// so the constructor groups the positions by that edge once, as packed
-/// (subtree-root slot, depth) records, and keeps only the groups of more
-/// than alpha records (no other group can fail). An attempt draws one start
-/// per subtree root and counts each kept group's stages; a dropped group
-/// loads no stage with more than its size, so the largest dropped group and
-/// the kept groups' counted max bound the attempt's max (edge, stage) load.
+/// (subtree-root slot, depth) records with the group's first record
+/// flagged, and notes the ranges of the groups of more than alpha records
+/// (no other group can fail). An attempt draws one start per subtree root
+/// and counts each such group's stages; the accepted attempt then counts
+/// every group once for the exact length of each stage.
 class ScheduleVerifier {
  public:
   /// Consumes `sched` (each tree's view is released once read). The
@@ -253,31 +253,21 @@ class ScheduleVerifier {
         ts = TreeSchedule{};
       }
     });
-    // Keep the groups of more than alpha records, moved down in place.
-    group_end_.clear();
-    std::size_t kept = 0;
+    // Flag each group's first record; note the groups that can fail.
+    records_size_ = at;
     for (std::size_t e = 0; e < half_edges; ++e) {
-      const std::uint32_t size = off[e + 1] - off[e];
-      if (size <= static_cast<std::uint32_t>(alpha_)) {
-        dropped_max_ = std::max(dropped_max_, static_cast<int>(size));
-        continue;
+      if (off[e + 1] == off[e]) continue;
+      records_[off[e]] |= kGroupStart;
+      if (off[e + 1] - off[e] > static_cast<std::uint32_t>(alpha_)) {
+        crowded_.push_back({off[e], off[e + 1]});
       }
-      if (kept != off[e]) {  // std::copy's output may not begin in its input
-        std::copy(records_.get() + off[e], records_.get() + off[e + 1],
-                  records_.get() + kept);
-      }
-      kept += off[e + 1] - off[e];
-      group_end_.push_back(static_cast<std::uint32_t>(kept));
     }
   }
 
   /// One attempt: draws every subtree root's start stage from `rng` in
   /// [0, range) (slot order), sets `stages` to the schedule's length and
   /// returns whether no (edge, stage) carries more than alpha broadcasts.
-  /// On success `load` is an upper bound on the max (edge, stage) load,
-  /// at most alpha.
-  bool attempt(util::Rng& rng, std::int64_t range, std::int64_t& stages,
-               int& load) {
+  bool attempt(util::Rng& rng, std::int64_t range, std::int64_t& stages) {
     start_.resize(slot_depth_.size());
     stages = 0;
     for (std::size_t w = 0; w < start_.size(); ++w) {
@@ -289,31 +279,48 @@ class ScheduleVerifier {
     }
     // One counter per stage, cleared again after each group.
     count_.assign(static_cast<std::size_t>(stages), 0);
-    const auto stage = [&](std::size_t j) {
-      return static_cast<std::size_t>(
-          start_[records_[j] >> 32] +
-          static_cast<std::int64_t>(records_[j] & 0xffffffffu));
-    };
-    load = dropped_max_;
-    std::size_t first = 0;
-    for (const std::uint32_t last : group_end_) {
+    for (const auto& [first, last] : crowded_) {
       for (std::size_t j = first; j < last; ++j) {
-        const std::int32_t c = ++count_[stage(j)];
-        if (c > alpha_) return false;
-        load = std::max(load, static_cast<int>(c));
+        if (++count_[stage(j)] > alpha_) return false;
       }
       for (std::size_t j = first; j < last; ++j) count_[stage(j)] = 0;
-      first = last;
     }
     return true;
   }
 
+  /// After an accepted attempt: each stage's length, the most broadcasts
+  /// any one edge carries in it, counted over every group in one pass.
+  std::vector<int> stage_lengths() {
+    std::vector<int> length(count_.size(), 0);
+    for (std::size_t first = 0, last; first < records_size_; first = last) {
+      last = first + 1;
+      while (last < records_size_ && !(records_[last] & kGroupStart)) ++last;
+      for (std::size_t j = first; j < last; ++j) {
+        const std::size_t st = stage(j);
+        length[st] = std::max(length[st], ++count_[st]);
+      }
+      for (std::size_t j = first; j < last; ++j) count_[stage(j)] = 0;
+    }
+    return length;
+  }
+
  private:
+  // Bit 31 of a record's depth word marks the first record of its group
+  // (depths stay below 2^31: a tree has fewer than 2^31 members).
+  static constexpr std::uint64_t kGroupStart = 1u << 31;
+
+  std::size_t stage(std::size_t j) const {
+    return static_cast<std::size_t>(
+        start_[records_[j] >> 32] +
+        static_cast<std::int64_t>(records_[j] & (kGroupStart - 1)));
+  }
+
   int alpha_;
-  std::unique_ptr<std::uint64_t[]> records_;  // slot << 32 | depth
-  std::vector<std::uint32_t> group_end_;      // kept groups' record ends
+  std::unique_ptr<std::uint64_t[]> records_;  // slot << 32 | flag | depth
+  std::size_t records_size_ = 0;
+  // [first, last) record ranges of the groups of more than alpha records.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> crowded_;
   std::vector<std::uint32_t> slot_depth_;     // max depth per subtree slot
-  int dropped_max_ = 0;                       // largest dropped group
   std::vector<std::int64_t> start_;
   std::vector<std::int32_t> count_;
 };
@@ -543,6 +550,7 @@ DistTreeScheme DistTreeScheme::build(const graph::WeightedGraph& g,
   // and its own Phase-1 output. Records from different portals are not
   // merged into shared messages.
   constexpr std::int64_t kRecordWords = 5;
+  if (sched_out != nullptr) sched_out->phase2.clear();
   for (int slot = 1; slot < r; ++slot) {
     const auto portal_pos = static_cast<std::size_t>(
         s.parent_pos[static_cast<std::size_t>(
@@ -554,8 +562,13 @@ DistTreeScheme DistTreeScheme::build(const graph::WeightedGraph& g,
                             s.w_pos[portal_pos])] +
                         s.member_rank[portal_pos])]
             .words();
-    out.phase2_messages_ +=
+    const std::int64_t msgs =
         (words + congest::kMaxWords - 1) / congest::kMaxWords;
+    out.phase2_messages_ += msgs;
+    if (sched_out != nullptr) {
+      sched_out->phase2.push_back(
+          {s.order[portal_pos], static_cast<std::int32_t>(msgs)});
+    }
   }
   out.slot_heavy_label_.assign(static_cast<std::size_t>(r),
                                TzTreeScheme::Label{});
@@ -704,7 +717,8 @@ const TzTreeScheme::Label& DistTreeScheme::heavy_portal_label(
 DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
                                     std::vector<TreeSpec> specs,
                                     const DistTreeBatchParams& params,
-                                    int bfs_height, util::Rng& rng) {
+                                    const primitives::BfsTree& bfs,
+                                    util::Rng& rng) {
   DistTreeBatch out;
   const int n = g.n();
 
@@ -751,10 +765,21 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
 
   // Per-tree measures fold by sums and maxima only, so the ledger does not
   // depend on the spec order. Phase 2 broadcasts each tree's records (one
-  // per non-root T' node, counted by DistTreeScheme::build); a one-node T'
-  // has none, and its global scheme (a' = 0, no light hops, no heavy child)
-  // is known locally.
+  // per non-root T' node, sent by its portal, counted by
+  // DistTreeScheme::build); a one-node T' has none, and its global scheme
+  // (a' = 0, no light hops, no heavy child) is known locally.
   std::int64_t phase2_msgs = 0;
+  std::int64_t phase2_rounds = 0;
+  {
+    std::vector<int> tokens(static_cast<std::size_t>(n), 0);
+    for (TreeSchedule& ts : sched) {
+      for (const auto& [portal, msgs] : ts.phase2) {
+        tokens[static_cast<std::size_t>(portal)] += msgs;
+      }
+      ts.phase2 = {};
+    }
+    phase2_rounds = primitives::pipelined_broadcast_rounds(bfs, tokens);
+  }
   std::int64_t records = 0;
   std::int64_t max_local_label_words = 1;
   for (const auto& s : out.schemes) {
@@ -773,7 +798,11 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
   // R it keeps doubling), so the w.h.p. bound is R's. Every attempt costs a
   // failure-bit convergecast plus a verdict broadcast over the BFS tree; a
   // failed attempt also costs its staged dissemination pass, in which some
-  // parent sees more than alpha messages queued for one (edge, stage).
+  // parent sees more than alpha messages queued for one (edge, stage). Each
+  // parent counts its child edges' loads per stage for the failure bit; on
+  // the accepted attempt the convergecast also max-aggregates those loads
+  // into each stage's length, one word per stage pipelined behind the bit,
+  // and the verdict broadcast carries the lengths back down.
   const std::int64_t ln_n = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::log(std::max(2, n))));
   const std::int64_t ceiling = std::max<std::int64_t>(
@@ -790,15 +819,20 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
   std::int64_t range = 1;
   std::int64_t stages = 0;
   std::int64_t search_rounds = 0;
+  std::vector<int> lengths;
   for (int attempt = 0;; ++attempt) {
     NORS_CHECK_MSG(attempt < max_attempts,
                    "staged schedule failed to decongest");
     out.schedule_attempts = attempt + 1;
     util::Rng sched_rng = rng.fork(static_cast<std::uint64_t>(attempt) + 99);
-    const bool ok =
-        verifier.attempt(sched_rng, range, stages, out.stage_length);
-    search_rounds += 2LL * bfs_height;
-    if (ok) break;
+    const bool ok = verifier.attempt(sched_rng, range, stages);
+    search_rounds += 2LL * bfs.height;
+    if (ok) {
+      lengths = verifier.stage_lengths();
+      search_rounds +=
+          2 * ((stages + congest::kMaxWords - 1) / congest::kMaxWords);
+      break;
+    }
     search_rounds += static_cast<std::int64_t>(alpha) * stages;
     range = range < ceiling ? std::min(2 * range, ceiling) : 2 * range;
   }
@@ -810,27 +844,29 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
 
   // Phases 0+1 (start-time dissemination, size convergecast, parallel DFS,
   // local label distribution): four staged passes, the label pass carrying
-  // the local TZ labels. A stage lasts L = stage_length rounds: the
-  // accepted attempt's load bound rides on its failure-bit convergecast,
-  // and no (edge, stage) queues more than L messages.
+  // the local TZ labels. Stage j lasts its measured length len_j, so no
+  // (edge, stage) queues more messages than its stage has rounds; the size
+  // convergecast runs the stages mirrored, so every pass sees the same
+  // loads. One pass takes Σ_j len_j rounds.
+  for (const int len : lengths) {
+    out.stage_rounds += len;
+    out.stage_length = std::max(out.stage_length, len);
+  }
   const std::int64_t label_factor =
       (max_local_label_words + congest::kMaxWords - 1) / congest::kMaxWords;
-  const std::int64_t staged_rounds =
-      static_cast<std::int64_t>(out.stage_length) * stages * (3 + label_factor);
   out.ledger.add("treeroute/phase1 staged subtree passes",
-                 congest::CostKind::kAccounted, staged_rounds, 0,
+                 congest::CostKind::kAccounted,
+                 out.stage_rounds * (3 + label_factor), 0,
                  "alpha=" + std::to_string(params.alpha) +
-                     " load=" + std::to_string(out.stage_length) +
-                     " stages=" + std::to_string(stages));
+                     " stages=" + std::to_string(stages) +
+                     " pass=" + std::to_string(out.stage_rounds) +
+                     " max_load=" + std::to_string(out.stage_length));
 
   // Phase 2: every tree's records over the BFS backbone (Lemma 1).
-  out.ledger.add(
-      "treeroute/phase2 global broadcast",
-      congest::CostKind::kAccounted,
-      primitives::pipelined_broadcast_rounds(phase2_msgs, bfs_height),
-      phase2_msgs,
-      "u_total=" + std::to_string(out.u_total) +
-          " records=" + std::to_string(records));
+  out.ledger.add("treeroute/phase2 global broadcast",
+                 congest::CostKind::kAccounted, phase2_rounds, phase2_msgs,
+                 "u_total=" + std::to_string(out.u_total) +
+                     " records=" + std::to_string(records));
   return out;
 }
 

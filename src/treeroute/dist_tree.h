@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "congest/ledger.h"
 #include "graph/graph.h"
+#include "primitives/bfs_tree.h"
 #include "treeroute/tz_tree.h"
 #include "util/random.h"
 
@@ -167,6 +169,9 @@ struct TreeSchedule {
   // Flat CSR index (WeightedGraph::edge_base + parent port) of the
   // half-edge from the member to its parent; 0 at the root.
   std::vector<std::uint32_t> edge;
+  // Phase 2: (portal p(u), CONGEST messages of u's record) per non-root
+  // T' node u.
+  std::vector<std::pair<graph::Vertex, std::int32_t>> phase2;
 };
 
 /// Reusable construction arenas: one instance per worker thread, reused
@@ -227,18 +232,24 @@ struct DistTreeBatch {
   /// until no (edge, stage) carried more than alpha broadcasts.
   std::int64_t stages = 0;
   int schedule_attempts = 0;
-  /// Rounds per stage the staged passes are charged: an upper bound on the
-  /// accepted schedule's max (edge, stage) load, never above alpha.
+  /// The accepted schedule's longest stage: its max (edge, stage) load,
+  /// never above alpha.
   int stage_length = 0;
+  /// Rounds of one staged pass: Σ over stages of each stage's length, the
+  /// most broadcasts one edge carries in it.
+  std::int64_t stage_rounds = 0;
 };
 
 /// `specs` is consumed: each spec's storage is released as soon as its tree
 /// has been built (the spec arrays and the finished schemes would otherwise
 /// overlap at the batch's RSS peak — DESIGN.md §9). Pass std::move(specs)
 /// on hot paths; a copy is made otherwise.
+/// `bfs` is the broadcast backbone: the schedule search's convergecasts
+/// and Phase 2's pipelined broadcast run over it.
 DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
                                     std::vector<TreeSpec> specs,
                                     const DistTreeBatchParams& params,
-                                    int bfs_height, util::Rng& rng);
+                                    const primitives::BfsTree& bfs,
+                                    util::Rng& rng);
 
 }  // namespace nors::treeroute

@@ -8,6 +8,7 @@
 #include "graph/generators.h"
 #include "graph/properties.h"
 #include "graph/shortest_paths.h"
+#include "primitives/bfs_tree.h"
 
 namespace nors {
 namespace {
@@ -67,7 +68,8 @@ TEST(LpBaseline, RoutesEverywhere) {
   util::Rng rng(321);
   const auto g =
       graph::connected_gnm(150, 450, graph::WeightSpec::uniform(1, 12), rng);
-  const auto s = baselines::LpBaselineScheme::build(g, {3, 5, 1.0}, 6);
+  const auto s = baselines::LpBaselineScheme::build(
+      g, {3, 5, 1.0}, primitives::centralized_bfs_tree(g, 0));
   double worst = 0;
   for (Vertex u = 0; u < g.n(); u += 6) {
     const auto sp = graph::dijkstra(g, u);
@@ -90,7 +92,8 @@ TEST(LpBaseline, TablesAreOmegaSqrtN) {
   util::Rng rng(322);
   const auto g =
       graph::connected_gnm(400, 1200, graph::WeightSpec::uniform(1, 9), rng);
-  const auto s = baselines::LpBaselineScheme::build(g, {3, 11, 1.0}, 8);
+  const auto s = baselines::LpBaselineScheme::build(
+      g, {3, 11, 1.0}, primitives::centralized_bfs_tree(g, 0));
   // The defining weakness: every vertex stores the whole skeleton spanner.
   EXPECT_GE(s.table_words(0), s.spanner_edges());
   EXPECT_GE(s.skeleton_size(), static_cast<std::int64_t>(
@@ -125,7 +128,8 @@ TEST(Spanner, WorksOnTreesWithoutAddingEdges) {
 TEST(LpBaseline, LabelsStaySmall) {
   util::Rng rng(323);
   const auto g = graph::connected_gnm(200, 600, graph::WeightSpec::uniform(1, 9), rng);
-  const auto s = baselines::LpBaselineScheme::build(g, {3, 13, 1.0}, 8);
+  const auto s = baselines::LpBaselineScheme::build(
+      g, {3, 13, 1.0}, primitives::centralized_bfs_tree(g, 0));
   for (Vertex v = 0; v < g.n(); v += 11) {
     EXPECT_LE(s.label_words(v), 2 + 1 + 2 * 10);  // O(log n) words
   }

@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <map>
 #include <optional>
+#include <string>
+#include <tuple>
 
+#include "core/clusters.h"
 #include "core/scheme.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
+#include "primitives/bfs_tree.h"
+#include "primitives/pipelined.h"
 
 namespace nors {
 namespace {
@@ -189,6 +197,127 @@ INSTANTIATE_TEST_SUITE_P(
                       // A practical ε: the Theorem-3 pivot level (3) and
                       // the clusters stay within their ε bounds.
                       Case{4, 406, 120, 300, util::Epsilon(1, 8)}));
+
+TEST(LargeLevelCharges, DependentIterationsAddTheirBroadcasts) {
+  // Theorem 3's β Bellman–Ford iterations over G'' are dependent: each
+  // vertex sends in iteration t + 1 only what iteration t delivered. On a
+  // path β = 2, so each Lemma-1 entry must be the sum of one exact
+  // pipelined-broadcast count per iteration (tokens at the senders), not
+  // one broadcast of all their messages. The test replays the scheme's
+  // first attempt up to G'' and the iterations' senders from it.
+  const int n = 1024;
+  util::Rng grng(911 + n);
+  const auto g = graph::path(n, graph::WeightSpec::uniform(1, 8), grng);
+  core::SchemeParams p;
+  p.k = 4;
+  p.seed = 7;
+  const auto scheme = core::RoutingScheme::build(g, p);
+  ASSERT_EQ(scheme.coverage_retries(), 0);
+  ASSERT_EQ(scheme.beta(), 2);
+
+  util::Rng rng(p.seed);
+  const auto bfs = primitives::centralized_bfs_tree(g, 0);
+  const auto h = primitives::Hierarchy::sample(n, p.k, rng);
+  for (Vertex v = 0; v < n; ++v) ASSERT_EQ(h.level(v), scheme.vertex_level(v));
+  congest::RoundLedger preprocess_ledger;
+  const auto pre = core::build_preprocess(g, h, p, bfs.height,
+                                          preprocess_ledger, rng);
+  ASSERT_EQ(pre.beta(), 2);
+  const auto& dhat = scheme.pivots().dist;
+
+  // One Bellman–Ford over G'' from `sources` (V' index, root slot) with
+  // `admit` filtering relaxations; returns each iteration's tokens.
+  using Admit = std::function<bool(int to, int slot, Dist b)>;
+  const auto replay = [&](const std::vector<std::pair<int, int>>& sources,
+                          const Admit& admit) {
+    std::map<std::pair<int, int>, Dist> b;
+    for (const auto& src : sources) b[src] = 0;
+    std::vector<std::pair<int, int>> frontier = sources;
+    std::vector<std::vector<int>> tokens;
+    for (int it = 0; it < pre.beta() && !frontier.empty(); ++it) {
+      auto& t = tokens.emplace_back(static_cast<std::size_t>(n), 0);
+      std::vector<std::tuple<int, int, Dist>> sends;
+      for (const auto& [v, slot] : frontier) {
+        ++t[static_cast<std::size_t>(pre.vprime[static_cast<std::size_t>(v)])];
+        sends.emplace_back(v, slot, b.at({v, slot}));
+      }
+      std::vector<std::pair<int, int>> next;
+      for (const auto& [v, slot, bv] : sends) {
+        for (const auto& e : pre.gpp_adj[static_cast<std::size_t>(v)]) {
+          const Dist nb = bv + e.w;
+          const auto it_b = b.find({e.to, slot});
+          if (it_b != b.end() && nb >= it_b->second) continue;
+          if (!admit(e.to, slot, nb)) continue;
+          b[{e.to, slot}] = nb;
+          next.push_back({e.to, slot});
+        }
+      }
+      std::sort(next.begin(), next.end());
+      next.erase(std::unique(next.begin(), next.end()), next.end());
+      frontier = std::move(next);
+    }
+    return tokens;
+  };
+  const auto expect_summed = [&](const std::string& phase,
+                                 const std::vector<std::vector<int>>& tokens) {
+    SCOPED_TRACE(phase);
+    const congest::CostEntry* entry = nullptr;
+    for (const auto& e : scheme.ledger().entries()) {
+      if (e.phase == phase) entry = &e;
+    }
+    ASSERT_NE(entry, nullptr);
+    ASSERT_EQ(tokens.size(), 2u);  // both iterations send
+    std::int64_t sum = 0;
+    std::int64_t messages = 0;
+    std::vector<int> merged(static_cast<std::size_t>(n), 0);
+    for (const auto& t : tokens) {
+      sum += primitives::pipelined_broadcast_rounds(bfs, t);
+      for (Vertex v = 0; v < n; ++v) {
+        messages += t[static_cast<std::size_t>(v)];
+        merged[static_cast<std::size_t>(v)] += t[static_cast<std::size_t>(v)];
+      }
+    }
+    EXPECT_EQ(entry->messages, messages);
+    EXPECT_EQ(entry->rounds, sum);
+    // One broadcast of every iteration's messages is strictly shorter.
+    EXPECT_GT(entry->rounds,
+              primitives::pipelined_broadcast_rounds(bfs, merged));
+  };
+
+  int checked = 0;
+  for (int i = core::last_exact_pivot_level(p.k) + 1; i <= p.k - 1; ++i) {
+    std::vector<std::pair<int, int>> sources;
+    for (const Vertex a : h.set_at(i)) {
+      sources.push_back({pre.vp_index[static_cast<std::size_t>(a)], 0});
+    }
+    // Pivots keep one value per vertex: the synchronous minimum over all
+    // of A_i, so every source shares slot 0.
+    expect_summed("pivots/approx level " + std::to_string(i),
+                  replay(sources, [](int, int, Dist) { return true; }));
+    ++checked;
+  }
+  for (int i = 0; i < p.k; ++i) {
+    if (core::classify_level(i, p.k) != core::LevelKind::kLarge) continue;
+    const auto roots = h.exactly_at(i);
+    std::vector<std::pair<int, int>> sources;
+    for (int s = 0; s < static_cast<int>(roots.size()); ++s) {
+      sources.push_back({pre.vp_index[static_cast<std::size_t>(roots[s])], s});
+    }
+    const std::size_t row = static_cast<std::size_t>(i + 1) * n;
+    // Condition (14) admits b < d̂_{i+1}(z) / (1+ε)^3 at non-roots.
+    const auto cond14 = [&](int to, int slot, Dist nb) {
+      const Vertex z = pre.vprime[static_cast<std::size_t>(to)];
+      const Dist d = dhat[row + static_cast<std::size_t>(z)];
+      return z == roots[static_cast<std::size_t>(slot)] || graph::is_inf(d) ||
+             p.epsilon().less_than_div(nb, d, 3);
+    };
+    expect_summed(
+        "clusters/large level " + std::to_string(i) + " phase1",
+        replay(sources, cond14));
+    ++checked;
+  }
+  EXPECT_EQ(checked, 3);  // pivots level 3, large levels 2 and 3
+}
 
 }  // namespace
 }  // namespace nors

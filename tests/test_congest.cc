@@ -120,30 +120,80 @@ TEST(BfsTree, RoundsScaleWithDiameterNotSize) {
   EXPECT_GT(b.construction_rounds, 250);
 }
 
-TEST(Pipelined, FormulaBoundsSimulatedRuns) {
+TEST(Pipelined, ExactCountEqualsSimulatedRun) {
+  // The Lemma-1 charge is the exact length of the schedule the simulator
+  // runs: on every tree and token layout the count must equal the
+  // message-level run and lie in [max(M, height), M + 2·height].
   util::Rng rng(23);
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto g = graph::connected_gnm(60 + 30 * trial, 150,
-                                        graph::WeightSpec::unit(), rng);
-    const auto tree = primitives::centralized_bfs_tree(g, 0);
-    std::vector<int> tokens(static_cast<std::size_t>(g.n()), 0);
-    int total = 0;
-    for (Vertex v = 0; v < g.n(); v += 7) {
-      tokens[static_cast<std::size_t>(v)] = 1 + (v % 3);
-      total += tokens[static_cast<std::size_t>(v)];
+  int cases = 0;
+  const auto check = [&](const graph::WeightedGraph& g,
+                         const primitives::BfsTree& tree,
+                         const std::vector<int>& tokens,
+                         const std::string& what) {
+    ++cases;
+    std::int64_t m = 0;
+    for (const int t : tokens) m += t;
+    const auto count = primitives::pipelined_broadcast_rounds(tree, tokens);
+    EXPECT_EQ(count, primitives::simulate_pipelined_broadcast(g, tree, tokens))
+        << what << " n=" << g.n() << " M=" << m << " height=" << tree.height;
+    if (m == 0) {
+      EXPECT_EQ(count, 0) << what;
+      return;
     }
-    const auto rounds = primitives::simulate_pipelined_broadcast(g, tree, tokens);
-    const auto bound = primitives::pipelined_broadcast_rounds(total, tree.height);
-    // Lemma 1: O(M + D). The formula is the documented charge; the real run
-    // must stay within it (+slack for the initial wake round).
-    EXPECT_LE(rounds, bound + 2) << "n=" << g.n() << " M=" << total;
-    // And the broadcast cannot beat the information-theoretic floor.
-    EXPECT_GE(rounds, std::max<std::int64_t>(total, tree.height));
+    EXPECT_GE(count, std::max<std::int64_t>(m, tree.height)) << what;
+    EXPECT_LE(count, m + 2 * tree.height) << what;
+  };
+  for (int trial = 0; trial < 75; ++trial) {
+    const int n = 20 + static_cast<int>(rng.uniform(60));
+    const auto w = graph::WeightSpec::unit();
+    const int family = trial % 3;  // gnm, tree, near-tree
+    const auto g = family == 0   ? graph::connected_gnm(n, 2LL * n, w, rng)
+                   : family == 1 ? graph::random_tree(n, w, rng)
+                                 : graph::connected_gnm(n, 3, w, rng);
+    const auto root =
+        static_cast<Vertex>(rng.uniform(static_cast<std::uint64_t>(n)));
+    const auto tree = primitives::centralized_bfs_tree(g, root);
+    Vertex deepest = root;
+    for (Vertex v = 0; v < n; ++v) {
+      if (tree.depth[static_cast<std::size_t>(v)] == tree.height) deepest = v;
+    }
+    for (int layout = 0; layout < 4; ++layout) {
+      std::vector<int> tokens(static_cast<std::size_t>(n), 0);
+      const auto burst = [&] { return 1 + static_cast<int>(rng.uniform(30)); };
+      if (layout == 0) {  // random senders
+        for (auto& t : tokens) {
+          t = rng.bernoulli(0.3) ? 1 + static_cast<int>(rng.uniform(4)) : 0;
+        }
+      } else if (layout == 1) {  // all at the root
+        tokens[static_cast<std::size_t>(root)] = burst();
+      } else if (layout == 2) {  // all at the deepest leaf
+        tokens[static_cast<std::size_t>(deepest)] = burst();
+      } else {  // clustered: a random vertex and its tree neighbours
+        const auto c = static_cast<std::size_t>(
+            rng.uniform(static_cast<std::uint64_t>(n)));
+        tokens[c] = burst();
+        if (tree.parent[c] != graph::kNoVertex) {
+          tokens[static_cast<std::size_t>(tree.parent[c])] = burst();
+        }
+        for (const Vertex ch : tree.children[c]) {
+          tokens[static_cast<std::size_t>(ch)] = burst();
+        }
+      }
+      check(g, tree, tokens,
+            "family=" + std::to_string(family) +
+                " layout=" + std::to_string(layout));
+    }
   }
-}
-
-TEST(Pipelined, ZeroMessagesCostsNothing) {
-  EXPECT_EQ(primitives::pipelined_broadcast_rounds(0, 10), 0);
+  // A single vertex and an empty broadcast.
+  util::Rng one_rng(24);
+  const auto one = graph::path(1, graph::WeightSpec::unit(), one_rng);
+  const auto one_tree = primitives::centralized_bfs_tree(one, 0);
+  check(one, one_tree, {5}, "single vertex");
+  check(one, one_tree, {0}, "single vertex, M = 0");
+  const auto g = graph::connected_gnm(40, 60, graph::WeightSpec::unit(), rng);
+  check(g, primitives::centralized_bfs_tree(g, 7),
+        std::vector<int>(static_cast<std::size_t>(g.n()), 0), "M = 0");
+  EXPECT_EQ(cases, 303);
 }
 
 /// Echo program: vertex 1 reports the arrival port and sender of whatever

@@ -122,8 +122,9 @@ TEST(DistTreeBatch, SimulatedPhase1FitsTheCharge) {
       treeroute::DistTreeBatchParams params;
       params.threads = 1;
       util::Rng batch_rng(seed);
-      const auto batch =
-          treeroute::build_dist_tree_batch(g, {spec}, params, 6, batch_rng);
+      const auto batch = treeroute::build_dist_tree_batch(
+          g, {spec}, params, primitives::centralized_bfs_tree(g, 0),
+          batch_rng);
       ASSERT_EQ(batch.max_overlap, 1);
 
       util::Rng ref_rng(seed);
@@ -158,8 +159,8 @@ TEST(DistTreeBatch, SimulatedPhase2FitsTheCharge) {
   // record messages. Run that broadcast on the simulator: each record's
   // portal p(u) holds its ⌈(5 + |ℓ(p(u))|) / kMaxWords⌉ messages as
   // tokens, convergecast to the BFS root and broadcast back down. The run
-  // must fit the ledger's charge, on a batch of overlapping SSSP trees over
-  // each graph family of the determinism suite.
+  // must take exactly the ledger's charge, on a batch of overlapping SSSP
+  // trees over each graph family of the determinism suite.
   for (int family = 0; family < 3; ++family) {
     const auto g = family_graph(family);
     std::vector<treeroute::TreeSpec> specs;
@@ -171,8 +172,8 @@ TEST(DistTreeBatch, SimulatedPhase2FitsTheCharge) {
     params.gamma = 24;
     params.threads = 4;
     util::Rng batch_rng(60 + static_cast<std::uint64_t>(family));
-    const auto batch = treeroute::build_dist_tree_batch(g, specs, params,
-                                                        bfs.height, batch_rng);
+    const auto batch =
+        treeroute::build_dist_tree_batch(g, specs, params, bfs, batch_rng);
 
     std::vector<int> tokens(static_cast<std::size_t>(g.n()), 0);
     std::int64_t total = 0;
@@ -196,7 +197,7 @@ TEST(DistTreeBatch, SimulatedPhase2FitsTheCharge) {
     EXPECT_EQ(phase2.messages, total) << "family=" << family;
     const auto sim = primitives::simulate_pipelined_broadcast(g, bfs, tokens);
     EXPECT_GE(sim, total);
-    EXPECT_LE(sim, phase2.rounds)
+    EXPECT_EQ(sim, phase2.rounds)
         << "family=" << family << " messages=" << total
         << " height=" << bfs.height;
   }

@@ -9,6 +9,8 @@
 #include "congest/message.h"
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
+#include "primitives/bfs_tree.h"
+#include "primitives/pipelined.h"
 #include "treeroute/dist_tree.h"
 #include "treeroute/tz_tree.h"
 
@@ -78,6 +80,15 @@ std::int64_t record_messages(const std::vector<Phase2Record>& records) {
             congest::kMaxWords;
   }
   return msgs;
+}
+
+/// Adds each record's messages to its portal's tokens (its Phase-2 sends).
+void add_record_tokens(const std::vector<Phase2Record>& records,
+                       std::vector<int>& tokens) {
+  for (const auto& r : records) {
+    tokens[static_cast<std::size_t>(r.portal)] += static_cast<int>(
+        (5 + r.label.words() + congest::kMaxWords - 1) / congest::kMaxWords);
+  }
 }
 
 /// Walks the TZ tree router from u to v; returns total weight.
@@ -301,8 +312,10 @@ TEST(DistTreeBatch, BuildsAllTreesAndChargesRounds) {
   for (Vertex root : {0, 17, 42, 77}) {
     specs.push_back(sssp_tree(g, root).spec);
   }
+  const auto bfs = primitives::centralized_bfs_tree(g, 0);
   util::Rng batch_rng(99);
-  const auto batch = treeroute::build_dist_tree_batch(g, specs, {}, 6, batch_rng);
+  const auto batch =
+      treeroute::build_dist_tree_batch(g, specs, {}, bfs, batch_rng);
   ASSERT_EQ(batch.schemes.size(), 4u);
   EXPECT_EQ(batch.max_overlap, 4);  // all trees span everything
   EXPECT_GT(batch.ledger.total_rounds(), 0);
@@ -326,7 +339,7 @@ TEST(DistTreeBatch, BuildsAllTreesAndChargesRounds) {
   zero.alpha = 0;
   util::Rng zero_rng(99);
   EXPECT_THROW(
-      treeroute::build_dist_tree_batch(g, specs, zero, 6, zero_rng),
+      treeroute::build_dist_tree_batch(g, specs, zero, bfs, zero_rng),
       std::logic_error);
 }
 
@@ -344,8 +357,8 @@ TEST(DistTreeBatch, SingleNodeVirtualTreesNeedNoPhase2) {
   params.gamma = 1e-9;
   params.threads = 1;
   util::Rng batch_rng(5);
-  const auto batch =
-      treeroute::build_dist_tree_batch(g, specs, params, 6, batch_rng);
+  const auto batch = treeroute::build_dist_tree_batch(
+      g, specs, params, primitives::centralized_bfs_tree(g, 0), batch_rng);
   const auto& entries = batch.ledger.entries();
   ASSERT_EQ(entries.back().phase, "treeroute/phase2 global broadcast");
   EXPECT_EQ(entries.back().messages, 0);
@@ -407,12 +420,13 @@ TEST(DistTreeBatch, Phase2ChargesOnlyMultiNodeVirtualTrees) {
   treeroute::DistTreeBatchParams params;
   params.gamma = 12;
   params.threads = 1;
-  const int bfs_height = 6;
+  const auto bfs = primitives::centralized_bfs_tree(g, 0);
   util::Rng batch_rng(9);
-  const auto batch = treeroute::build_dist_tree_batch(g, specs, params,
-                                                      bfs_height, batch_rng);
+  const auto batch =
+      treeroute::build_dist_tree_batch(g, specs, params, bfs, batch_rng);
 
   std::int64_t msgs = 0;
+  std::vector<int> tokens(static_cast<std::size_t>(g.n()), 0);
   int single = 0, multi = 0;
   for (std::size_t t = 0; t < specs.size(); ++t) {
     const auto& s = batch.schemes[t];
@@ -420,6 +434,7 @@ TEST(DistTreeBatch, Phase2ChargesOnlyMultiNodeVirtualTrees) {
     ASSERT_EQ(static_cast<int>(records.size()), s.u_count() - 1);
     EXPECT_EQ(s.phase2_messages(), record_messages(records));
     msgs += record_messages(records);
+    add_record_tokens(records, tokens);
     ++(s.u_count() >= 2 ? multi : single);
   }
   ASSERT_GT(single, 0);
@@ -427,7 +442,7 @@ TEST(DistTreeBatch, Phase2ChargesOnlyMultiNodeVirtualTrees) {
   const auto& phase2 = batch.ledger.entries().back();
   ASSERT_EQ(phase2.phase, "treeroute/phase2 global broadcast");
   EXPECT_EQ(phase2.messages, msgs);
-  EXPECT_EQ(phase2.rounds, 2 * (bfs_height + msgs));
+  EXPECT_EQ(phase2.rounds, primitives::pipelined_broadcast_rounds(bfs, tokens));
 }
 
 TEST(DistTreeBatch, VirtualTreeSchemeFollowsFromPhase2Records) {
@@ -447,18 +462,20 @@ TEST(DistTreeBatch, VirtualTreeSchemeFollowsFromPhase2Records) {
   treeroute::DistTreeBatchParams params;
   params.gamma = 40;
   params.threads = 4;  // the pooled builds and verifier passes (TSan leg)
-  const int bfs_height = 7;
+  const auto bfs = primitives::centralized_bfs_tree(g, 0);
   util::Rng batch_rng(13);
-  const auto batch = treeroute::build_dist_tree_batch(g, specs, params,
-                                                      bfs_height, batch_rng);
+  const auto batch =
+      treeroute::build_dist_tree_batch(g, specs, params, bfs, batch_rng);
 
   std::int64_t msgs = 0;
+  std::vector<int> tokens(static_cast<std::size_t>(g.n()), 0);
   std::int64_t light_hops = 0;
   for (std::size_t t = 0; t < specs.size(); ++t) {
     const auto& s = batch.schemes[t];
     const Vertex z = specs[t].root;
     const auto records = phase2_records(g, specs[t], s);
     msgs += record_messages(records);
+    add_record_tokens(records, tokens);
 
     // T' from the records only.
     std::map<Vertex, const Phase2Record*> rec_of;
@@ -544,7 +561,7 @@ TEST(DistTreeBatch, VirtualTreeSchemeFollowsFromPhase2Records) {
   const auto& phase2 = batch.ledger.entries().back();
   ASSERT_EQ(phase2.phase, "treeroute/phase2 global broadcast");
   EXPECT_EQ(phase2.messages, msgs);
-  EXPECT_EQ(phase2.rounds, 2 * (bfs_height + msgs));
+  EXPECT_EQ(phase2.rounds, primitives::pipelined_broadcast_rounds(bfs, tokens));
 }
 
 TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
@@ -556,10 +573,9 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
   // the batch's draws (the U sample, then one forked stream per attempt)
   // and count every (child, parent, stage) in a std::map to pin the number
   // of attempts, the stages of the accepted schedule and the search charge.
-  // The staged passes are charged L rounds per stage, L the accepted
-  // schedule's load bound: the max over edges of the edge's counted max
-  // stage load when it carries more than alpha broadcasts in all, else of
-  // that total. L must cover the true max load and never exceed alpha.
+  // Stage j of the accepted schedule lasts len_j rounds, the most
+  // broadcasts any one edge carries in it, so one staged pass takes
+  // Σ_j len_j; no stage may be longer than alpha.
   // Every edge is doubled and every other tree hangs off the twin ports:
   // parallel edges to one parent are still one (child, parent) edge.
   util::Rng rng(301);
@@ -584,7 +600,7 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
     }
   }
   const double gamma = 8;
-  const int bfs_height = 6;
+  const auto bfs = primitives::centralized_bfs_tree(g, 0);
   const int n = g.n();
   const auto s = static_cast<int>(specs.size());  // every tree spans V
   util::Rng ref_rng(55);
@@ -608,8 +624,8 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
     std::int64_t stages = 0;
     std::int64_t search = 0;
     bool passed_paper_range = false;
-    int max_load = 0;    // the accepted schedule's true max load
-    int load_bound = 0;  // the bound L the batch must report
+    int max_load = 0;       // the accepted schedule's longest stage
+    std::int64_t pass = 0;  // Σ_j len_j
   };
   const auto replay = [&](int alpha) {
     Replay r;
@@ -623,7 +639,6 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
           draws.fork(static_cast<std::uint64_t>(r.attempts) + 99);
       ++r.attempts;
       std::map<std::tuple<Vertex, Vertex, std::int64_t>, int> load;
-      std::map<std::pair<Vertex, Vertex>, int> edge_total;
       r.stages = 0;
       for (std::size_t t = 0; t < sched.size(); ++t) {
         const auto& ts = sched[t];
@@ -640,21 +655,29 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
           const Vertex v = ts.order[i];  // members are 0..n-1 in spec order
           const Vertex p = specs[t].parent[static_cast<std::size_t>(v)];
           ++load[{v, p, stage}];
-          ++edge_total[{v, p}];
         }
       }
       bool ok = true;
-      r.max_load = 0;
-      r.load_bound = 0;
+      std::map<std::int64_t, int> len;  // stage -> max load over edges
       for (const auto& [key, cnt] : load) {
         ok = ok && cnt <= alpha;
-        r.max_load = std::max(r.max_load, cnt);
-        const int total =
-            edge_total.at({std::get<0>(key), std::get<1>(key)});
-        r.load_bound = std::max(r.load_bound, total <= alpha ? total : cnt);
+        int& l = len[std::get<2>(key)];
+        l = std::max(l, cnt);
       }
-      r.search += 2 * bfs_height;  // failure-bit convergecast + verdict
-      if (ok) return r;
+      r.search += 2 * bfs.height;  // failure-bit convergecast + verdict
+      if (ok) {
+        // The stage lengths ride on the accepted attempt's convergecast
+        // and verdict broadcast, one word per stage.
+        r.search +=
+            2 * ((r.stages + congest::kMaxWords - 1) / congest::kMaxWords);
+        r.max_load = 0;
+        r.pass = 0;
+        for (const auto& [stage, l] : len) {
+          r.max_load = std::max(r.max_load, l);
+          r.pass += l;
+        }
+        return r;
+      }
       r.search += alpha * r.stages;  // the failed dissemination pass
       r.passed_paper_range = r.passed_paper_range || r.range >= paper_range;
       r.range = r.range < paper_range ? std::min(2 * r.range, paper_range)
@@ -670,7 +693,7 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
     params.threads = 1;
     util::Rng batch_rng(55);
     const auto batch = treeroute::build_dist_tree_batch(
-        g, specs, params, bfs_height, batch_rng);
+        g, specs, params, bfs, batch_rng);
     ASSERT_EQ(batch.max_overlap, s);
     const Replay r = replay(alpha);
     if (alpha == 1) {
@@ -679,8 +702,8 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
     }
     EXPECT_EQ(batch.schedule_attempts, r.attempts);
     EXPECT_EQ(batch.stages, r.stages);
-    EXPECT_EQ(batch.stage_length, r.load_bound);
-    EXPECT_GE(batch.stage_length, r.max_load);
+    EXPECT_EQ(batch.stage_length, r.max_load);
+    EXPECT_EQ(batch.stage_rounds, r.pass);
     EXPECT_LE(batch.stage_length, alpha);
     std::int64_t local_words = 1;
     for (const auto& scheme : batch.schemes) {
@@ -696,11 +719,11 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
     EXPECT_EQ(entries[0].rounds, r.search);
     EXPECT_EQ(entries[0].note, "attempts=" + std::to_string(r.attempts) +
                                    " range=" + std::to_string(r.range));
-    EXPECT_EQ(entries[1].rounds,
-              r.load_bound * r.stages * (3 + label_factor));
+    EXPECT_EQ(entries[1].rounds, r.pass * (3 + label_factor));
     EXPECT_EQ(entries[1].note, "alpha=" + std::to_string(alpha) +
-                                   " load=" + std::to_string(r.load_bound) +
-                                   " stages=" + std::to_string(r.stages));
+                                   " stages=" + std::to_string(r.stages) +
+                                   " pass=" + std::to_string(r.pass) +
+                                   " max_load=" + std::to_string(r.max_load));
   }
 }
 
