@@ -152,9 +152,8 @@ RoutingScheme RoutingScheme::build(const graph::WeightedGraph& g,
     specs.push_back(to_spec(s.trees_[i]));
   }
   treeroute::DistTreeBatchParams tp;
-  tp.seed = rng.next();
   tp.threads = params.threads;
-  util::Rng tree_rng(tp.seed);
+  util::Rng tree_rng(rng.next());
   // Construction scratch (network slabs, detection rows, cluster chains) is
   // done and freed: hand the heap's free pages back to the OS before the
   // Section-6 batch grows the scheme to its resident peak (DESIGN.md §9).

@@ -148,182 +148,144 @@ int subtree_roots(const TreeBuildScratch& s, graph::Vertex root,
   return max_depth;
 }
 
-/// The Remark-3 schedule verifier over a whole forest. Each subtree
-/// broadcast occupies its edges at stage start(w) + depth(edge); an attempt
-/// fails when more than alpha broadcasts share one (edge, stage). Every
-/// forest edge is the (child, parent) edge of a non-subtree-root position,
-/// so the constructor groups the positions by that edge once, as packed
-/// (subtree-root slot, depth) records with the group's first record
-/// flagged, and notes the ranges of the groups of more than alpha records
-/// (no other group can fail). An attempt draws one start per subtree root
-/// and counts each such group's stages; the accepted attempt then counts
-/// every group once for the exact length of each stage.
-class ScheduleVerifier {
- public:
-  /// Consumes `sched` (each tree's view is released once read). The
-  /// passes run on up to `threads` workers, each over one contiguous chunk
-  /// of trees cut at about equal position counts with its own cursor row,
-  /// so the groups come out the same for any pool (no atomics: a locked
-  /// increment per scattered record store serializes the stores' misses).
-  ScheduleVerifier(const graph::WeightedGraph& g,
-                   std::vector<TreeSchedule>& sched, int alpha, int threads)
-      : alpha_(alpha) {
-    const std::size_t half_edges = g.total_half_edges();
-    const std::size_t trees = sched.size();
-    std::size_t positions = 0;
-    for (const TreeSchedule& ts : sched) positions += ts.w_pos.size();
-    NORS_CHECK_MSG(positions <= 0xffffffffull,
-                   "too many forest positions for the schedule verifier");
-    // Parallel edges to one parent are one (child, parent) edge: each
-    // half-edge stands for its tail's lowest port to the same head.
-    std::vector<std::uint32_t> canon(half_edges);
-    for (Vertex v = 0; v < g.n(); ++v) {
-      const std::size_t base = g.edge_base(v);
-      const auto adj = g.neighbors(v);
-      for (std::size_t p = 0; p < adj.size(); ++p) {
-        canon[base + p] = static_cast<std::uint32_t>(
-            base + static_cast<std::size_t>(g.port_to(v, adj[p].to)));
-      }
+/// Phase 1's staged schedule over a whole forest, drawn once. Each subtree
+/// broadcast crosses the edge of its depth-t member at stage start(w) + t,
+/// with start(w) drawn uniformly from [0, range) for every subtree root in
+/// tree / BFS order. Returns each stage's length: the most broadcasts one
+/// (child, parent) edge carries in it. Every forest edge is the edge of a
+/// non-subtree-root position, so the positions are grouped by that edge as
+/// packed (subtree-root slot, depth) records with each group's first record
+/// flagged, and one pass counts every group's stages.
+///
+/// Consumes `sched` (each tree's view is released once read). The grouping
+/// passes run on up to `threads` workers, each over one contiguous chunk of
+/// trees cut at about equal position counts with its own cursor row, so the
+/// groups come out the same for any pool (no atomics: a locked increment
+/// per scattered record store serializes the stores' misses).
+std::vector<int> staged_stage_lengths(const graph::WeightedGraph& g,
+                                      std::vector<TreeSchedule>& sched,
+                                      int threads, std::int64_t range,
+                                      util::Rng& rng) {
+  const std::size_t half_edges = g.total_half_edges();
+  const std::size_t trees = sched.size();
+  std::size_t positions = 0;
+  for (const TreeSchedule& ts : sched) positions += ts.w_pos.size();
+  NORS_CHECK_MSG(positions <= 0xffffffffull,
+                 "too many forest positions for the staged schedule");
+  // Parallel edges to one parent are one (child, parent) edge: each
+  // half-edge stands for its tail's lowest port to the same head.
+  std::vector<std::uint32_t> canon(half_edges);
+  for (Vertex v = 0; v < g.n(); ++v) {
+    const std::size_t base = g.edge_base(v);
+    const auto adj = g.neighbors(v);
+    for (std::size_t p = 0; p < adj.size(); ++p) {
+      canon[base + p] = static_cast<std::uint32_t>(
+          base + static_cast<std::size_t>(g.port_to(v, adj[p].to)));
     }
-    // Each chunk's cursor row costs 4 bytes per half-edge: at most 8 rows.
-    const std::size_t chunks = std::clamp<std::size_t>(
-        std::min<std::size_t>(static_cast<std::size_t>(threads), trees), 1,
-        8);
-    std::vector<std::size_t> cut(chunks + 1, trees);
-    cut[0] = 0;
-    for (std::size_t t = 0, acc = 0, c = 1; t < trees && c < chunks; ++t) {
-      acc += sched[t].w_pos.size();
-      if (acc * chunks >= positions * c) cut[c++] = t + 1;
-    }
-    // Pass 1: subtree roots per tree and forest positions per (chunk,
-    // edge); each position's half-edge becomes its canonical one.
-    std::vector<std::size_t> slot_base(trees + 1, 0);
-    std::vector<std::uint32_t> rows(chunks * half_edges, 0);
-    const auto workers = static_cast<int>(chunks);
-    util::parallel_for(workers, chunks, [&](int, std::size_t c) {
-      std::uint32_t* row = rows.data() + c * half_edges;
-      for (std::size_t t = cut[c]; t < cut[c + 1]; ++t) {
-        TreeSchedule& ts = sched[t];
-        for (std::size_t i = 0; i < ts.w_pos.size(); ++i) {
-          if (ts.w_pos[i] == static_cast<int>(i)) {
-            ++slot_base[t + 1];
-          } else {
-            ts.edge[i] = canon[ts.edge[i]];
-            ++row[ts.edge[i]];
-          }
+  }
+  // Each chunk's cursor row costs 4 bytes per half-edge: at most 8 rows.
+  const std::size_t chunks = std::clamp<std::size_t>(
+      std::min<std::size_t>(static_cast<std::size_t>(threads), trees), 1, 8);
+  std::vector<std::size_t> cut(chunks + 1, trees);
+  cut[0] = 0;
+  for (std::size_t t = 0, acc = 0, c = 1; t < trees && c < chunks; ++t) {
+    acc += sched[t].w_pos.size();
+    if (acc * chunks >= positions * c) cut[c++] = t + 1;
+  }
+  // Pass 1: subtree roots per tree and forest positions per (chunk, edge);
+  // each position's half-edge becomes its canonical one.
+  std::vector<std::size_t> slot_base(trees + 1, 0);
+  std::vector<std::uint32_t> rows(chunks * half_edges, 0);
+  const auto workers = static_cast<int>(chunks);
+  util::parallel_for(workers, chunks, [&](int, std::size_t c) {
+    std::uint32_t* row = rows.data() + c * half_edges;
+    for (std::size_t t = cut[c]; t < cut[c + 1]; ++t) {
+      TreeSchedule& ts = sched[t];
+      for (std::size_t i = 0; i < ts.w_pos.size(); ++i) {
+        if (ts.w_pos[i] == static_cast<int>(i)) {
+          ++slot_base[t + 1];
+        } else {
+          ts.edge[i] = canon[ts.edge[i]];
+          ++row[ts.edge[i]];
         }
       }
-    });
-    // Global subtree-root slots in tree / BFS order (the order the start
-    // stages are drawn in); chunk c's part of a group follows the earlier
-    // chunks' parts.
-    for (std::size_t t = 0; t < trees; ++t) slot_base[t + 1] += slot_base[t];
-    slot_depth_.assign(slot_base[trees], 0);
-    std::vector<std::uint32_t> off(half_edges + 1);
-    std::uint32_t at = 0;
-    for (std::size_t e = 0; e < half_edges; ++e) {
-      off[e] = at;
-      for (std::size_t c = 0; c < chunks; ++c) {
-        at += std::exchange(rows[c * half_edges + e], at);
-      }
     }
-    off[half_edges] = at;
-    // Pass 2: each position's record lands in its edge's group; each slot
-    // keeps its max depth.
-    records_ = std::make_unique_for_overwrite<std::uint64_t[]>(at);
-    util::parallel_for(workers, chunks, [&](int, std::size_t c) {
-      std::uint32_t* cursor = rows.data() + c * half_edges;
-      std::vector<std::uint32_t> slot_of;
-      for (std::size_t t = cut[c]; t < cut[c + 1]; ++t) {
-        TreeSchedule& ts = sched[t];
-        slot_of.resize(ts.w_pos.size());
-        auto slot = static_cast<std::uint32_t>(slot_base[t]);
-        for (std::size_t i = 0; i < ts.w_pos.size(); ++i) {
-          const auto w = static_cast<std::size_t>(ts.w_pos[i]);
-          if (w == i) {
-            slot_of[i] = slot++;
-            continue;
-          }
-          const auto depth = static_cast<std::uint32_t>(ts.depth[i]);
-          auto& deepest = slot_depth_[slot_of[w]];
-          deepest = std::max(deepest, depth);
-          records_[cursor[ts.edge[i]]++] =
-              static_cast<std::uint64_t>(slot_of[w]) << 32 | depth;
-        }
-        ts = TreeSchedule{};
-      }
-    });
-    // Flag each group's first record; note the groups that can fail.
-    records_size_ = at;
-    for (std::size_t e = 0; e < half_edges; ++e) {
-      if (off[e + 1] == off[e]) continue;
-      records_[off[e]] |= kGroupStart;
-      if (off[e + 1] - off[e] > static_cast<std::uint32_t>(alpha_)) {
-        crowded_.push_back({off[e], off[e + 1]});
-      }
+  });
+  // Global subtree-root slots in tree / BFS order (the order the start
+  // stages are drawn in); chunk c's part of a group follows the earlier
+  // chunks' parts.
+  for (std::size_t t = 0; t < trees; ++t) slot_base[t + 1] += slot_base[t];
+  std::vector<std::uint32_t> slot_depth(slot_base[trees], 0);
+  std::vector<std::uint32_t> off(half_edges + 1);
+  std::uint32_t at = 0;
+  for (std::size_t e = 0; e < half_edges; ++e) {
+    off[e] = at;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      at += std::exchange(rows[c * half_edges + e], at);
     }
   }
-
-  /// One attempt: draws every subtree root's start stage from `rng` in
-  /// [0, range) (slot order), sets `stages` to the schedule's length and
-  /// returns whether no (edge, stage) carries more than alpha broadcasts.
-  bool attempt(util::Rng& rng, std::int64_t range, std::int64_t& stages) {
-    start_.resize(slot_depth_.size());
-    stages = 0;
-    for (std::size_t w = 0; w < start_.size(); ++w) {
-      start_[w] = static_cast<std::int64_t>(
-          rng.uniform(static_cast<std::uint64_t>(range)));
-      if (slot_depth_[w] > 0) {
-        stages = std::max(stages, start_[w] + slot_depth_[w] + 1);
-      }
-    }
-    // One counter per stage, cleared again after each group.
-    count_.assign(static_cast<std::size_t>(stages), 0);
-    for (const auto& [first, last] : crowded_) {
-      for (std::size_t j = first; j < last; ++j) {
-        if (++count_[stage(j)] > alpha_) return false;
-      }
-      for (std::size_t j = first; j < last; ++j) count_[stage(j)] = 0;
-    }
-    return true;
-  }
-
-  /// After an accepted attempt: each stage's length, the most broadcasts
-  /// any one edge carries in it, counted over every group in one pass.
-  std::vector<int> stage_lengths() {
-    std::vector<int> length(count_.size(), 0);
-    for (std::size_t first = 0, last; first < records_size_; first = last) {
-      last = first + 1;
-      while (last < records_size_ && !(records_[last] & kGroupStart)) ++last;
-      for (std::size_t j = first; j < last; ++j) {
-        const std::size_t st = stage(j);
-        length[st] = std::max(length[st], ++count_[st]);
-      }
-      for (std::size_t j = first; j < last; ++j) count_[stage(j)] = 0;
-    }
-    return length;
-  }
-
- private:
+  off[half_edges] = at;
   // Bit 31 of a record's depth word marks the first record of its group
   // (depths stay below 2^31: a tree has fewer than 2^31 members).
-  static constexpr std::uint64_t kGroupStart = 1u << 31;
-
-  std::size_t stage(std::size_t j) const {
-    return static_cast<std::size_t>(
-        start_[records_[j] >> 32] +
-        static_cast<std::int64_t>(records_[j] & (kGroupStart - 1)));
+  constexpr std::uint64_t kGroupStart = 1u << 31;
+  // Pass 2: each position's record lands in its edge's group; each slot
+  // keeps its max depth.
+  const auto records = std::make_unique_for_overwrite<std::uint64_t[]>(at);
+  util::parallel_for(workers, chunks, [&](int, std::size_t c) {
+    std::uint32_t* cursor = rows.data() + c * half_edges;
+    std::vector<std::uint32_t> slot_of;
+    for (std::size_t t = cut[c]; t < cut[c + 1]; ++t) {
+      TreeSchedule& ts = sched[t];
+      slot_of.resize(ts.w_pos.size());
+      auto slot = static_cast<std::uint32_t>(slot_base[t]);
+      for (std::size_t i = 0; i < ts.w_pos.size(); ++i) {
+        const auto w = static_cast<std::size_t>(ts.w_pos[i]);
+        if (w == i) {
+          slot_of[i] = slot++;
+          continue;
+        }
+        const auto depth = static_cast<std::uint32_t>(ts.depth[i]);
+        auto& deepest = slot_depth[slot_of[w]];
+        deepest = std::max(deepest, depth);
+        records[cursor[ts.edge[i]]++] =
+            static_cast<std::uint64_t>(slot_of[w]) << 32 | depth;
+      }
+      ts = TreeSchedule{};
+    }
+  });
+  for (std::size_t e = 0; e < half_edges; ++e) {
+    if (off[e + 1] != off[e]) records[off[e]] |= kGroupStart;
   }
 
-  int alpha_;
-  std::unique_ptr<std::uint64_t[]> records_;  // slot << 32 | flag | depth
-  std::size_t records_size_ = 0;
-  // [first, last) record ranges of the groups of more than alpha records.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> crowded_;
-  std::vector<std::uint32_t> slot_depth_;     // max depth per subtree slot
-  std::vector<std::int64_t> start_;
-  std::vector<std::int32_t> count_;
-};
+  // The draw: one start per subtree root, in slot order.
+  std::vector<std::int64_t> start(slot_depth.size());
+  std::int64_t stages = 0;
+  for (std::size_t w = 0; w < start.size(); ++w) {
+    start[w] = static_cast<std::int64_t>(
+        rng.uniform(static_cast<std::uint64_t>(range)));
+    if (slot_depth[w] > 0) {
+      stages = std::max<std::int64_t>(stages, start[w] + slot_depth[w] + 1);
+    }
+  }
+  const auto stage = [&](std::size_t j) {
+    return static_cast<std::size_t>(
+        start[records[j] >> 32] +
+        static_cast<std::int64_t>(records[j] & (kGroupStart - 1)));
+  };
+  // One counter per stage, cleared again after each group.
+  std::vector<std::int32_t> count(static_cast<std::size_t>(stages), 0);
+  std::vector<int> length(count.size(), 0);
+  for (std::size_t first = 0, last; first < at; first = last) {
+    last = first + 1;
+    while (last < at && !(records[last] & kGroupStart)) ++last;
+    for (std::size_t j = first; j < last; ++j) {
+      const std::size_t st = stage(j);
+      length[st] = std::max(length[st], ++count[st]);
+    }
+    for (std::size_t j = first; j < last; ++j) count[stage(j)] = 0;
+  }
+  return length;
+}
 
 }  // namespace
 
@@ -792,62 +754,34 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
     phase2_msgs += s.phase2_messages();
   }
 
-  // Remark-3 staged schedule, found by a doubling search a CONGEST network
-  // can run: the start-stage range starts at 1 and doubles after each
-  // failed attempt, capped at the paper's range R = ⌊√(n·s)⌋·⌊ln n⌋ (past
-  // R it keeps doubling), so the w.h.p. bound is R's. Every attempt costs a
-  // failure-bit convergecast plus a verdict broadcast over the BFS tree; a
-  // failed attempt also costs its staged dissemination pass, in which some
-  // parent sees more than alpha messages queued for one (edge, stage). Each
-  // parent counts its child edges' loads per stage for the failure bit; on
-  // the accepted attempt the convergecast also max-aggregates those loads
-  // into each stage's length, one word per stage pipelined behind the bit,
-  // and the verdict broadcast carries the lengths back down.
-  const std::int64_t ln_n = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::log(std::max(2, n))));
-  const std::int64_t ceiling = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::sqrt(static_cast<double>(n) *
-                                             out.max_overlap)) *
-             ln_n);
-  int max_attempts = 20;
-  for (std::int64_t r = 1; r < ceiling; r *= 2) ++max_attempts;
-  // alpha = 0 fails every attempt on any forest edge, while the range and
-  // the verifier's stages-sized counters keep doubling.
-  NORS_CHECK_MSG(params.alpha >= 1, "stage length alpha must be at least 1");
-  const int alpha = params.alpha;
-  ScheduleVerifier verifier(g, sched, alpha, nthreads);
+  // Phase 1's staged schedule, drawn once. Three max-aggregations over the
+  // BFS tree, a convergecast and a broadcast each, are charged here: s
+  // before U is drawn (γ = √(n/s) needs it), the batch's max subtree depth
+  // d before the start stages are drawn, and the termination convergecast
+  // that ends Phase 1 before Phase 2. The start-stage range is the largest
+  // power of two ≤ max(1, min(s, d/2)): at most s broadcasts share an
+  // edge, so a wider range only adds stages.
+  const std::int64_t cap = std::max<std::int64_t>(
+      1, std::min<std::int64_t>(out.max_overlap, out.max_subtree_depth / 2));
   std::int64_t range = 1;
-  std::int64_t stages = 0;
-  std::int64_t search_rounds = 0;
-  std::vector<int> lengths;
-  for (int attempt = 0;; ++attempt) {
-    NORS_CHECK_MSG(attempt < max_attempts,
-                   "staged schedule failed to decongest");
-    out.schedule_attempts = attempt + 1;
-    util::Rng sched_rng = rng.fork(static_cast<std::uint64_t>(attempt) + 99);
-    const bool ok = verifier.attempt(sched_rng, range, stages);
-    search_rounds += 2LL * bfs.height;
-    if (ok) {
-      lengths = verifier.stage_lengths();
-      search_rounds +=
-          2 * ((stages + congest::kMaxWords - 1) / congest::kMaxWords);
-      break;
-    }
-    search_rounds += static_cast<std::int64_t>(alpha) * stages;
-    range = range < ceiling ? std::min(2 * range, ceiling) : 2 * range;
-  }
-  out.stages = stages;
-  out.ledger.add("treeroute/phase1 schedule search",
-                 congest::CostKind::kAccounted, search_rounds, 0,
-                 "attempts=" + std::to_string(out.schedule_attempts) +
-                     " range=" + std::to_string(range));
+  while (2 * range <= cap) range *= 2;
+  util::Rng sched_rng = rng.fork(99);
+  const std::vector<int> lengths =
+      staged_stage_lengths(g, sched, nthreads, range, sched_rng);
+  out.stages = static_cast<std::int64_t>(lengths.size());
+  out.ledger.add("treeroute/phase1 schedule", congest::CostKind::kAccounted,
+                 6LL * bfs.height, 0,
+                 "range=" + std::to_string(range) +
+                     " s=" + std::to_string(out.max_overlap) +
+                     " depth=" + std::to_string(out.max_subtree_depth));
 
   // Phases 0+1 (start-time dissemination, size convergecast, parallel DFS,
   // local label distribution): four staged passes, the label pass carrying
-  // the local TZ labels. Stage j lasts its measured length len_j, so no
-  // (edge, stage) queues more messages than its stage has rounds; the size
-  // convergecast runs the stages mirrored, so every pass sees the same
-  // loads. One pass takes Σ_j len_j rounds.
+  // the local TZ labels. Every edge sends its lowest-stage ready message
+  // first (the size convergecast mirrors the stages and sends its highest
+  // first), so by induction every stage-j message arrives by
+  // Σ_{i≤j} len_i, len_i being stage i's length, and one pass takes
+  // Σ_j len_j rounds (DESIGN.md §2.2).
   for (const int len : lengths) {
     out.stage_rounds += len;
     out.stage_length = std::max(out.stage_length, len);
@@ -857,8 +791,7 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
   out.ledger.add("treeroute/phase1 staged subtree passes",
                  congest::CostKind::kAccounted,
                  out.stage_rounds * (3 + label_factor), 0,
-                 "alpha=" + std::to_string(params.alpha) +
-                     " stages=" + std::to_string(stages) +
+                 "stages=" + std::to_string(out.stages) +
                      " pass=" + std::to_string(out.stage_rounds) +
                      " max_load=" + std::to_string(out.stage_length));
 

@@ -90,8 +90,8 @@ class DistTreeScheme {
 
   /// Hot-path overload: reuses `scratch` across trees (one shared
   /// LCA/size/DFS allocation per worker thread) and, when `sched_out` is
-  /// non-null, exports the per-tree data the batch's staged-schedule
-  /// verifier needs so it never re-indexes the tree.
+  /// non-null, exports the per-tree data the batch's staged schedule
+  /// needs so it never re-indexes the tree.
   static DistTreeScheme build(const graph::WeightedGraph& g,
                               const TreeSpec& tree,
                               const std::vector<char>& in_u,
@@ -208,13 +208,11 @@ struct TreeBuildScratch {
 };
 
 /// Batched construction over many trees (paper Remark 3): one shared sample
-/// U (probability γ/n per vertex), randomized staged broadcast schedule
-/// whose collision bound is *verified* against the actual forest edges, and
-/// a RoundLedger charging the measured cost.
+/// U (probability γ/n per vertex), one randomized staged broadcast schedule
+/// whose stage lengths are counted on the actual forest edges, and a
+/// RoundLedger charging the measured cost.
 struct DistTreeBatchParams {
   double gamma = 0;  // 0 ⇒ γ = sqrt(n / s) as in Remark 3
-  int alpha = 20;    // stage length in rounds
-  std::uint64_t seed = 7;
   /// Worker threads for the per-tree builds: independent trees build
   /// concurrently with per-thread scratch arenas and are merged in spec
   /// order, so every output (schemes, stats, ledger) is bit-identical for
@@ -228,12 +226,9 @@ struct DistTreeBatch {
   int max_subtree_depth = 0;
   std::int64_t u_total = 0;
   int max_overlap = 0;  // s: max #trees sharing a vertex
-  /// Remark-3 staged schedule: stages used and start-stage draws tried
-  /// until no (edge, stage) carried more than alpha broadcasts.
+  /// Remark-3 staged schedule: stages of the one drawn schedule.
   std::int64_t stages = 0;
-  int schedule_attempts = 0;
-  /// The accepted schedule's longest stage: its max (edge, stage) load,
-  /// never above alpha.
+  /// Its longest stage: the max (edge, stage) load.
   int stage_length = 0;
   /// Rounds of one staged pass: Σ over stages of each stage's length, the
   /// most broadcasts one edge carries in it.
@@ -244,8 +239,8 @@ struct DistTreeBatch {
 /// has been built (the spec arrays and the finished schemes would otherwise
 /// overlap at the batch's RSS peak — DESIGN.md §9). Pass std::move(specs)
 /// on hot paths; a copy is made otherwise.
-/// `bfs` is the broadcast backbone: the schedule search's convergecasts
-/// and Phase 2's pipelined broadcast run over it.
+/// `bfs` is the broadcast backbone: the schedule's max-aggregations and
+/// Phase 2's pipelined broadcast run over it.
 DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
                                     std::vector<TreeSpec> specs,
                                     const DistTreeBatchParams& params,

@@ -121,11 +121,11 @@ TEST(GoldenRounds, MatchesCommittedRoundsScalingSnapshot) {
   // Subset of the committed snapshot chosen to keep this test under a
   // second while covering both series, both k values and 8× size range.
   const Row rows[] = {
-      {false, 3, 256, 833},   {false, 3, 512, 911},
-      {false, 3, 1024, 1344}, {false, 3, 2048, 3560},
-      {false, 4, 256, 601},   {false, 4, 512, 1071},
-      {false, 4, 1024, 1428}, {true, 3, 256, 19213},
-      {true, 3, 512, 51361},  {true, 3, 1024, 92141},
+      {false, 3, 256, 787},   {false, 3, 512, 925},
+      {false, 3, 1024, 1362}, {false, 3, 2048, 2429},
+      {false, 4, 256, 611},   {false, 4, 512, 1021},
+      {false, 4, 1024, 1392}, {true, 3, 256, 18573},
+      {true, 3, 512, 40539},  {true, 3, 1024, 83559},
   };
   for (const Row& row : rows) {
     util::Rng rng(911 + static_cast<std::uint64_t>(row.n));
@@ -185,18 +185,18 @@ TEST(GoldenImages, FrozenImageAndLedgerDigestsArePinned) {
     std::uint64_t ledger;
   };
   const Row rows[] = {
-      {0, 3, 4.0, 0x96b2110f631dfd2full, 0x228714256265d6faull},
-      {0, 3, 0.1, 0x96b2110f631dfd2full, 0x1096cb2ae44f7ce7ull},
-      {0, 5, 4.0, 0x593f4f3a616b4732ull, 0x2fd1d129aa20c6e8ull},
-      {0, 5, 0.1, 0x593f4f3a616b4732ull, 0x51e00d8d0e0dc1a0ull},
-      {1, 3, 4.0, 0xf5f5a2f889e6e847ull, 0xb278e6edb7c3363bull},
-      {1, 3, 0.1, 0xf5f5a2f889e6e847ull, 0x5699604d906a03fdull},
-      {1, 5, 4.0, 0xc7e301464cd2f82bull, 0xb69a87f54ff3e9f5ull},
-      {1, 5, 0.1, 0x1b359476947ed220ull, 0xf20f9840aa2aa233ull},
-      {2, 3, 4.0, 0x35530617b3a86059ull, 0xe8f088b31e7e6c30ull},
-      {2, 3, 0.1, 0x35530617b3a86059ull, 0xddf9aa4619618e37ull},
-      {2, 5, 4.0, 0xffee03461643939full, 0x4fb7c1c9337849c8ull},
-      {2, 5, 0.1, 0xffee03461643939full, 0xa8884f6e86f2b4aaull},
+      {0, 3, 4.0, 0x96b2110f631dfd2full, 0xa1cee724666697acull},
+      {0, 3, 0.1, 0x96b2110f631dfd2full, 0x359b58be703c83dull},
+      {0, 5, 4.0, 0x593f4f3a616b4732ull, 0x26a3602ebd878caull},
+      {0, 5, 0.1, 0x593f4f3a616b4732ull, 0x594d6c69a24c76c2ull},
+      {1, 3, 4.0, 0xf5f5a2f889e6e847ull, 0x6a7f3aaef51a8a1eull},
+      {1, 3, 0.1, 0xf5f5a2f889e6e847ull, 0xa570f053f5fd7fa0ull},
+      {1, 5, 4.0, 0xc7e301464cd2f82bull, 0x698b66914cbcc9e3ull},
+      {1, 5, 0.1, 0x1b359476947ed220ull, 0xd902708278cab13eull},
+      {2, 3, 4.0, 0x35530617b3a86059ull, 0x70fccd4cfcb9f04bull},
+      {2, 3, 0.1, 0x35530617b3a86059ull, 0x9724a29dca35e7eull},
+      {2, 5, 4.0, 0xffee03461643939full, 0xcf914cafa2586471ull},
+      {2, 5, 0.1, 0xffee03461643939full, 0x7ac6f47368497abull},
   };
   for (const Row& row : rows) {
     const auto g = make_graph(row.family, 700 + static_cast<std::uint64_t>(

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <utility>
 
 #include "congest/message.h"
 #include "graph/generators.h"
@@ -152,6 +154,174 @@ TEST(DistTreeBatch, SimulatedPhase1FitsTheCharge) {
           << " stages=" << batch.stages;
     }
   }
+}
+
+/// One (edge, stage) message of a staged pass: the subtree broadcast of
+/// member v over its (v, parent) edge.
+struct StagedMessage {
+  int edge;       // dense id of the (child, parent) vertex pair
+  std::int64_t stage;
+  int up = -1;    // the message over the parent's own edge; -1 at depth 1
+};
+
+/// Replays one staged pass message by message with one queue per directed
+/// edge: each round, every edge sends its ready message of the lowest
+/// priority key (the stage on the way down, the negated stage on the way
+/// up). Down, a message is ready once its `up` message has arrived; up, once
+/// every message naming it as `up` has. Returns each message's arrival
+/// round (rounds count from 1).
+std::vector<std::int64_t> replay_pass(const std::vector<StagedMessage>& msgs,
+                                      int edges, bool down) {
+  std::vector<std::vector<int>> queue(static_cast<std::size_t>(edges));
+  std::vector<int> waiting(msgs.size(), 0);  // up: undelivered children
+  for (std::size_t m = 0; m < msgs.size(); ++m) {
+    queue[static_cast<std::size_t>(msgs[m].edge)].push_back(
+        static_cast<int>(m));
+    if (msgs[m].up >= 0) ++waiting[static_cast<std::size_t>(msgs[m].up)];
+  }
+  std::vector<std::int64_t> at(msgs.size(), 0);
+  std::size_t left = msgs.size();
+  std::vector<int> sent;
+  for (std::int64_t round = 1; left > 0; ++round) {
+    if (round > 1'000'000) {
+      ADD_FAILURE() << "staged pass did not finish";
+      break;
+    }
+    sent.clear();
+    for (auto& q : queue) {
+      int best = -1;
+      for (const int m : q) {
+        const StagedMessage& msg = msgs[static_cast<std::size_t>(m)];
+        const bool ready =
+            down ? msg.up < 0 || at[static_cast<std::size_t>(msg.up)] > 0
+                 : waiting[static_cast<std::size_t>(m)] == 0;
+        if (!ready) continue;
+        const auto key = [&](int x) {
+          const std::int64_t st = msgs[static_cast<std::size_t>(x)].stage;
+          return down ? st : -st;
+        };
+        if (best < 0 || key(m) < key(best)) best = m;
+      }
+      if (best < 0) continue;
+      q.erase(std::find(q.begin(), q.end(), best));
+      sent.push_back(best);
+    }
+    // Arrivals take effect at the end of the round.
+    for (const int m : sent) {
+      at[static_cast<std::size_t>(m)] = round;
+      const int up = msgs[static_cast<std::size_t>(m)].up;
+      if (up >= 0) --waiting[static_cast<std::size_t>(up)];
+      --left;
+    }
+  }
+  return at;
+}
+
+TEST(DistTreeBatch, LowestStageFirstMeetsEveryStageDeadline) {
+  // The staged-pass charge rests on a priority argument: if every edge
+  // sends its lowest-stage ready message first, every stage-j message
+  // arrives by T_j = Σ_{i≤j} len_i (len_i: the most messages one edge
+  // carries in stage i), and the mirrored up pass, highest stage first,
+  // delivers stage j by Σ_{i≥j} len_i. Replay the batch's own drawn
+  // schedule on overlapping SSSP batches over the determinism families
+  // and a path, and check both passes against those deadlines and the
+  // batch's Σ_j len_j.
+  std::int64_t busiest = 0;
+  for (int input = 0; input < 4; ++input) {
+    SCOPED_TRACE("input=" + std::to_string(input));
+    util::Rng path_rng(920);
+    const auto g = input < 3 ? family_graph(input)
+                             : graph::path(256, graph::WeightSpec::uniform(1, 8),
+                                           path_rng);
+    const int n = g.n();
+    std::vector<treeroute::TreeSpec> specs;
+    for (Vertex root = 0; root < n; root += n / 5) {
+      specs.push_back(sssp_spec(g, root));
+    }
+    const auto s = static_cast<int>(specs.size());  // every tree spans V
+    const std::uint64_t seed = 80 + static_cast<std::uint64_t>(input);
+    treeroute::DistTreeBatchParams params;
+    params.threads = 1;
+    util::Rng batch_rng(seed);
+    const auto batch = treeroute::build_dist_tree_batch(
+        g, specs, params, primitives::centralized_bfs_tree(g, 0), batch_rng);
+    ASSERT_EQ(batch.max_overlap, s);
+
+    // The batch's U sample and draw, replayed from its seed.
+    util::Rng ref_rng(seed);
+    const double p_u = std::min(
+        1.0, std::sqrt(static_cast<double>(n) / static_cast<double>(s)) /
+                 static_cast<double>(n));
+    std::vector<char> in_u(static_cast<std::size_t>(n), 0);
+    for (Vertex v = 0; v < n; ++v) {
+      in_u[static_cast<std::size_t>(v)] = ref_rng.bernoulli(p_u) ? 1 : 0;
+    }
+    std::vector<treeroute::TreeSchedule> sched(specs.size());
+    treeroute::TreeBuildScratch scratch;
+    for (std::size_t t = 0; t < specs.size(); ++t) {
+      treeroute::DistTreeScheme::build(g, specs[t], in_u, scratch, &sched[t]);
+    }
+    std::int64_t range = 1;
+    while (2 * range <= std::max(1, std::min(s, batch.max_subtree_depth / 2))) {
+      range *= 2;
+    }
+    util::Rng draws = ref_rng.fork(99);
+    std::vector<StagedMessage> msgs;
+    std::map<std::pair<Vertex, Vertex>, int> edge_id;
+    std::map<std::pair<int, std::int64_t>, int> load;  // (edge, stage)
+    for (std::size_t t = 0; t < sched.size(); ++t) {
+      const auto& ts = sched[t];
+      std::vector<std::int64_t> start(ts.order.size(), 0);
+      std::vector<int> msg_of(static_cast<std::size_t>(n), -1);
+      for (std::size_t i = 0; i < ts.order.size(); ++i) {
+        const auto w = static_cast<std::size_t>(ts.w_pos[i]);
+        if (w == i) {
+          start[i] = static_cast<std::int64_t>(
+              draws.uniform(static_cast<std::uint64_t>(range)));
+          continue;
+        }
+        const Vertex v = ts.order[i];  // members are 0..n-1 in spec order
+        const Vertex p = specs[t].parent[static_cast<std::size_t>(v)];
+        const int e =
+            edge_id.try_emplace({v, p}, static_cast<int>(edge_id.size()))
+                .first->second;
+        // Parents precede children in BFS order; at depth 1 the parent is
+        // the subtree root, which sends without waiting.
+        const int up = ts.depth[i] > 1 ? msg_of[static_cast<std::size_t>(p)]
+                                       : -1;
+        msg_of[static_cast<std::size_t>(v)] = static_cast<int>(msgs.size());
+        msgs.push_back({e, start[w] + ts.depth[i], up});
+        ++load[{e, msgs.back().stage}];
+      }
+    }
+    std::vector<std::int64_t> len;
+    for (const auto& [key, cnt] : load) {
+      const auto j = static_cast<std::size_t>(key.second);
+      if (len.size() <= j) len.resize(j + 1, 0);
+      len[j] = std::max<std::int64_t>(len[j], cnt);
+      busiest = std::max<std::int64_t>(busiest, cnt);
+    }
+    std::vector<std::int64_t> by(len.size()), from(len.size() + 1, 0);
+    for (std::size_t j = 0; j < len.size(); ++j) {
+      by[j] = (j > 0 ? by[j - 1] : 0) + len[j];
+    }
+    for (std::size_t j = len.size(); j-- > 0;) from[j] = from[j + 1] + len[j];
+    ASSERT_EQ(by.back(), batch.stage_rounds);  // the draw is the batch's
+
+    for (const bool down : {true, false}) {
+      const auto at =
+          replay_pass(msgs, static_cast<int>(edge_id.size()), down);
+      std::int64_t last = 0;
+      for (std::size_t m = 0; m < msgs.size(); ++m) {
+        const auto j = static_cast<std::size_t>(msgs[m].stage);
+        EXPECT_LE(at[m], down ? by[j] : from[j])
+            << (down ? "down" : "up") << " stage=" << j;
+        last = std::max(last, at[m]);
+      }
+      EXPECT_LE(last, batch.stage_rounds) << (down ? "down" : "up");
+    }
+  }
+  EXPECT_GT(busiest, 1);  // some edge queued several messages in a stage
 }
 
 TEST(DistTreeBatch, SimulatedPhase2FitsTheCharge) {

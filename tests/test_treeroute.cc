@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <stdexcept>
 #include <tuple>
 
 #include "congest/message.h"
@@ -334,13 +333,6 @@ TEST(DistTreeBatch, BuildsAllTreesAndChargesRounds) {
     }
     EXPECT_EQ(len, graph::tree_distance(f.parent, f.dist_to_root, u, 60));
   }
-  // A zero stage length can never decongest a shared edge.
-  treeroute::DistTreeBatchParams zero;
-  zero.alpha = 0;
-  util::Rng zero_rng(99);
-  EXPECT_THROW(
-      treeroute::build_dist_tree_batch(g, specs, zero, bfs, zero_rng),
-      std::logic_error);
 }
 
 TEST(DistTreeBatch, SingleNodeVirtualTreesNeedNoPhase2) {
@@ -564,20 +556,16 @@ TEST(DistTreeBatch, VirtualTreeSchemeFollowsFromPhase2Records) {
   EXPECT_EQ(phase2.rounds, primitives::pipelined_broadcast_rounds(bfs, tokens));
 }
 
-TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
-  // The Remark-3 search draws start stages over a range that starts at 1
-  // and doubles after every attempt in which some (edge, stage) pair
-  // carries more than alpha subtree broadcasts, capped at the paper's
-  // range R = ⌊√(n·s)⌋·⌊ln n⌋ and doubling freely past it. A stage length
-  // of 1 over many overlapping SSSP trees forces attempts past R; replay
-  // the batch's draws (the U sample, then one forked stream per attempt)
-  // and count every (child, parent, stage) in a std::map to pin the number
-  // of attempts, the stages of the accepted schedule and the search charge.
-  // Stage j of the accepted schedule lasts len_j rounds, the most
-  // broadcasts any one edge carries in it, so one staged pass takes
-  // Σ_j len_j; no stage may be longer than alpha.
-  // Every edge is doubled and every other tree hangs off the twin ports:
-  // parallel edges to one parent are still one (child, parent) edge.
+TEST(DistTreeBatch, StageLengthsMatchABruteForceCount) {
+  // Phase 1 draws its staged schedule once: every subtree root's start
+  // stage uniformly from [0, r), r the largest power of two ≤
+  // max(1, min(s, d/2)) for overlap s and max subtree depth d. Replay the
+  // batch's draws (the U sample, then the forked schedule stream) and
+  // count every (child, parent, stage) in a std::map: stage j lasts len_j
+  // rounds, the most broadcasts any one edge carries in it, so one staged
+  // pass takes Σ_j len_j. Every edge is doubled and every other tree hangs
+  // off the twin ports: parallel edges to one parent are still one
+  // (child, parent) edge.
   util::Rng rng(301);
   const auto single =
       graph::connected_gnm(160, 360, graph::WeightSpec::uniform(1, 6), rng);
@@ -602,109 +590,70 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
   const double gamma = 8;
   const auto bfs = primitives::centralized_bfs_tree(g, 0);
   const int n = g.n();
-  const auto s = static_cast<int>(specs.size());  // every tree spans V
-  util::Rng ref_rng(55);
-  std::vector<char> in_u(static_cast<std::size_t>(n), 0);
-  for (Vertex v = 0; v < n; ++v) {
-    in_u[static_cast<std::size_t>(v)] = ref_rng.bernoulli(gamma / n) ? 1 : 0;
-  }
-  std::vector<treeroute::TreeSchedule> sched(specs.size());
-  treeroute::TreeBuildScratch scratch;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    treeroute::DistTreeScheme::build(g, specs[i], in_u, scratch, &sched[i]);
-  }
-  const std::int64_t ln_n =
-      static_cast<std::int64_t>(std::log(static_cast<double>(n)));
-  const std::int64_t paper_range =
-      static_cast<std::int64_t>(std::sqrt(static_cast<double>(n) * s)) * ln_n;
 
-  struct Replay {
-    int attempts = 0;
-    std::int64_t range = 1;
-    std::int64_t stages = 0;
-    std::int64_t search = 0;
-    bool passed_paper_range = false;
-    int max_load = 0;       // the accepted schedule's longest stage
-    std::int64_t pass = 0;  // Σ_j len_j
-  };
-  const auto replay = [&](int alpha) {
-    Replay r;
-    util::Rng draws = ref_rng;  // the batch's stream after the U sample
-    for (;;) {
-      if (r.attempts >= 40) {
-        ADD_FAILURE() << "alpha=" << alpha << ": search did not converge";
-        return r;
-      }
-      util::Rng sched_rng =
-          draws.fork(static_cast<std::uint64_t>(r.attempts) + 99);
-      ++r.attempts;
-      std::map<std::tuple<Vertex, Vertex, std::int64_t>, int> load;
-      r.stages = 0;
-      for (std::size_t t = 0; t < sched.size(); ++t) {
-        const auto& ts = sched[t];
-        std::vector<std::int64_t> start(ts.order.size(), 0);
-        for (std::size_t i = 0; i < ts.order.size(); ++i) {
-          if (ts.w_pos[i] == static_cast<int>(i)) {
-            start[i] = static_cast<std::int64_t>(
-                sched_rng.uniform(static_cast<std::uint64_t>(r.range)));
-            continue;
-          }
-          const std::int64_t stage =
-              start[static_cast<std::size_t>(ts.w_pos[i])] + ts.depth[i];
-          r.stages = std::max(r.stages, stage + 1);
-          const Vertex v = ts.order[i];  // members are 0..n-1 in spec order
-          const Vertex p = specs[t].parent[static_cast<std::size_t>(v)];
-          ++load[{v, p, stage}];
-        }
-      }
-      bool ok = true;
-      std::map<std::int64_t, int> len;  // stage -> max load over edges
-      for (const auto& [key, cnt] : load) {
-        ok = ok && cnt <= alpha;
-        int& l = len[std::get<2>(key)];
-        l = std::max(l, cnt);
-      }
-      r.search += 2 * bfs.height;  // failure-bit convergecast + verdict
-      if (ok) {
-        // The stage lengths ride on the accepted attempt's convergecast
-        // and verdict broadcast, one word per stage.
-        r.search +=
-            2 * ((r.stages + congest::kMaxWords - 1) / congest::kMaxWords);
-        r.max_load = 0;
-        r.pass = 0;
-        for (const auto& [stage, l] : len) {
-          r.max_load = std::max(r.max_load, l);
-          r.pass += l;
-        }
-        return r;
-      }
-      r.search += alpha * r.stages;  // the failed dissemination pass
-      r.passed_paper_range = r.passed_paper_range || r.range >= paper_range;
-      r.range = r.range < paper_range ? std::min(2 * r.range, paper_range)
-                                      : 2 * r.range;
+  // Returns the drawn schedule's longest stage.
+  const auto check = [&](const std::vector<treeroute::TreeSpec>& batch_specs,
+                         std::int64_t want_range) -> int {
+    const auto s = static_cast<int>(batch_specs.size());  // each spans V
+    util::Rng ref_rng(55);
+    std::vector<char> in_u(static_cast<std::size_t>(n), 0);
+    for (Vertex v = 0; v < n; ++v) {
+      in_u[static_cast<std::size_t>(v)] = ref_rng.bernoulli(gamma / n) ? 1 : 0;
     }
-  };
+    std::vector<treeroute::TreeSchedule> sched(batch_specs.size());
+    treeroute::TreeBuildScratch scratch;
+    int depth = 0;
+    for (std::size_t i = 0; i < batch_specs.size(); ++i) {
+      depth = std::max(depth, treeroute::DistTreeScheme::build(
+                                  g, batch_specs[i], in_u, scratch, &sched[i])
+                                  .max_subtree_depth());
+    }
+    std::int64_t range = 1;
+    while (2 * range <= std::max(1, std::min(s, depth / 2))) range *= 2;
+    EXPECT_EQ(range, want_range) << "s=" << s << " depth=" << depth;
 
-  for (const int alpha : {1, 4}) {
-    SCOPED_TRACE("alpha=" + std::to_string(alpha));
+    util::Rng draws = ref_rng.fork(99);
+    std::map<std::tuple<Vertex, Vertex, std::int64_t>, int> load;
+    std::int64_t stages = 0;
+    for (std::size_t t = 0; t < sched.size(); ++t) {
+      const auto& ts = sched[t];
+      std::vector<std::int64_t> start(ts.order.size(), 0);
+      for (std::size_t i = 0; i < ts.order.size(); ++i) {
+        if (ts.w_pos[i] == static_cast<int>(i)) {
+          start[i] = static_cast<std::int64_t>(
+              draws.uniform(static_cast<std::uint64_t>(range)));
+          continue;
+        }
+        const std::int64_t stage =
+            start[static_cast<std::size_t>(ts.w_pos[i])] + ts.depth[i];
+        stages = std::max(stages, stage + 1);
+        const Vertex v = ts.order[i];  // members are 0..n-1 in spec order
+        ++load[{v, batch_specs[t].parent[static_cast<std::size_t>(v)], stage}];
+      }
+    }
+    std::map<std::int64_t, int> len;  // stage -> max load over edges
+    for (const auto& [key, cnt] : load) {
+      int& l = len[std::get<2>(key)];
+      l = std::max(l, cnt);
+    }
+    int max_load = 0;
+    std::int64_t pass = 0;
+    for (const auto& [stage, l] : len) {
+      max_load = std::max(max_load, l);
+      pass += l;
+    }
+
     treeroute::DistTreeBatchParams params;
     params.gamma = gamma;
-    params.alpha = alpha;
     params.threads = 1;
     util::Rng batch_rng(55);
     const auto batch = treeroute::build_dist_tree_batch(
-        g, specs, params, bfs, batch_rng);
-    ASSERT_EQ(batch.max_overlap, s);
-    const Replay r = replay(alpha);
-    if (alpha == 1) {
-      EXPECT_GT(r.attempts, 1);
-      EXPECT_TRUE(r.passed_paper_range);  // the replay covers R and beyond
-    }
-    EXPECT_EQ(batch.schedule_attempts, r.attempts);
-    EXPECT_EQ(batch.stages, r.stages);
-    EXPECT_EQ(batch.stage_length, r.max_load);
-    EXPECT_EQ(batch.stage_rounds, r.pass);
-    EXPECT_LE(batch.stage_length, alpha);
+        g, batch_specs, params, bfs, batch_rng);
+    EXPECT_EQ(batch.max_overlap, s);
+    EXPECT_EQ(batch.max_subtree_depth, depth);
+    EXPECT_EQ(batch.stages, stages);
+    EXPECT_EQ(batch.stage_length, max_load);
+    EXPECT_EQ(batch.stage_rounds, pass);
     std::int64_t local_words = 1;
     for (const auto& scheme : batch.schemes) {
       for (std::size_t i = 0; i < scheme.members().size(); ++i) {
@@ -714,16 +663,31 @@ TEST(DistTreeBatch, ScheduleVerifierMatchesABruteForceCount) {
     const std::int64_t label_factor =
         (local_words + congest::kMaxWords - 1) / congest::kMaxWords;
     const auto& entries = batch.ledger.entries();
-    ASSERT_EQ(entries.size(), 3u);
-    EXPECT_EQ(entries[0].phase, "treeroute/phase1 schedule search");
-    EXPECT_EQ(entries[0].rounds, r.search);
-    EXPECT_EQ(entries[0].note, "attempts=" + std::to_string(r.attempts) +
-                                   " range=" + std::to_string(r.range));
-    EXPECT_EQ(entries[1].rounds, r.pass * (3 + label_factor));
-    EXPECT_EQ(entries[1].note, "alpha=" + std::to_string(alpha) +
-                                   " stages=" + std::to_string(r.stages) +
-                                   " pass=" + std::to_string(r.pass) +
-                                   " max_load=" + std::to_string(r.max_load));
+    EXPECT_EQ(entries.size(), 3u);
+    if (entries.size() != 3u) return max_load;
+    // Three max-aggregations over the BFS tree: s, d and termination.
+    EXPECT_EQ(entries[0].phase, "treeroute/phase1 schedule");
+    EXPECT_EQ(entries[0].rounds, 6 * bfs.height);
+    EXPECT_EQ(entries[0].note, "range=" + std::to_string(range) +
+                                   " s=" + std::to_string(s) +
+                                   " depth=" + std::to_string(depth));
+    EXPECT_EQ(entries[1].rounds, pass * (3 + label_factor));
+    EXPECT_EQ(entries[1].note, "stages=" + std::to_string(stages) +
+                                   " pass=" + std::to_string(pass) +
+                                   " max_load=" + std::to_string(max_load));
+    return max_load;
+  };
+
+  // 23 overlapping trees of subtree depth 8: the depth arm sets r = 4,
+  // and shared edges carry several broadcasts in one stage.
+  {
+    SCOPED_TRACE("overlapping");
+    EXPECT_GT(check(specs, 4), 1);
+  }
+  // One tree: s = 1 pins the range at 1.
+  {
+    SCOPED_TRACE("single");
+    check({specs[1]}, 1);
   }
 }
 
