@@ -148,24 +148,32 @@ int subtree_roots(const TreeBuildScratch& s, graph::Vertex root,
   return max_depth;
 }
 
+/// Per-stage lengths of Phase 1's staged schedule: `unit[j]` is the most
+/// broadcasts one (child, parent) edge carries in stage j, `weighted[j]`
+/// the most merged-pass message parts (TreeSchedule::parts) it carries.
+struct StageLengths {
+  std::vector<int> unit;
+  std::vector<std::int64_t> weighted;
+};
+
 /// Phase 1's staged schedule over a whole forest, drawn once. Each subtree
 /// broadcast crosses the edge of its depth-t member at stage start(w) + t,
 /// with start(w) drawn uniformly from [0, range) for every subtree root in
-/// tree / BFS order. Returns each stage's length: the most broadcasts one
-/// (child, parent) edge carries in it. Every forest edge is the edge of a
-/// non-subtree-root position, so the positions are grouped by that edge as
-/// packed (subtree-root slot, depth) records with each group's first record
-/// flagged, and one pass counts every group's stages.
+/// tree / BFS order. Every forest edge is the edge of a non-subtree-root
+/// position, so the positions are grouped by that edge as packed
+/// (subtree-root slot, depth) records with each group's first record
+/// flagged, plus a parallel byte of parts per record, and one pass counts
+/// every group's stages in both units.
 ///
 /// Consumes `sched` (each tree's view is released once read). The grouping
 /// passes run on up to `threads` workers, each over one contiguous chunk of
 /// trees cut at about equal position counts with its own cursor row, so the
 /// groups come out the same for any pool (no atomics: a locked increment
 /// per scattered record store serializes the stores' misses).
-std::vector<int> staged_stage_lengths(const graph::WeightedGraph& g,
-                                      std::vector<TreeSchedule>& sched,
-                                      int threads, std::int64_t range,
-                                      util::Rng& rng) {
+StageLengths staged_stage_lengths(const graph::WeightedGraph& g,
+                                  std::vector<TreeSchedule>& sched,
+                                  int threads, std::int64_t range,
+                                  util::Rng& rng) {
   const std::size_t half_edges = g.total_half_edges();
   const std::size_t trees = sched.size();
   std::size_t positions = 0;
@@ -228,9 +236,10 @@ std::vector<int> staged_stage_lengths(const graph::WeightedGraph& g,
   // Bit 31 of a record's depth word marks the first record of its group
   // (depths stay below 2^31: a tree has fewer than 2^31 members).
   constexpr std::uint64_t kGroupStart = 1u << 31;
-  // Pass 2: each position's record lands in its edge's group; each slot
-  // keeps its max depth.
+  // Pass 2: each position's record and parts land in its edge's group; each
+  // slot keeps its max depth.
   const auto records = std::make_unique_for_overwrite<std::uint64_t[]>(at);
+  const auto parts = std::make_unique_for_overwrite<std::uint8_t[]>(at);
   util::parallel_for(workers, chunks, [&](int, std::size_t c) {
     std::uint32_t* cursor = rows.data() + c * half_edges;
     std::vector<std::uint32_t> slot_of;
@@ -247,8 +256,9 @@ std::vector<int> staged_stage_lengths(const graph::WeightedGraph& g,
         const auto depth = static_cast<std::uint32_t>(ts.depth[i]);
         auto& deepest = slot_depth[slot_of[w]];
         deepest = std::max(deepest, depth);
-        records[cursor[ts.edge[i]]++] =
-            static_cast<std::uint64_t>(slot_of[w]) << 32 | depth;
+        const std::uint32_t rec = cursor[ts.edge[i]]++;
+        records[rec] = static_cast<std::uint64_t>(slot_of[w]) << 32 | depth;
+        parts[rec] = ts.parts[i];
       }
       ts = TreeSchedule{};
     }
@@ -272,19 +282,25 @@ std::vector<int> staged_stage_lengths(const graph::WeightedGraph& g,
         start[records[j] >> 32] +
         static_cast<std::int64_t>(records[j] & (kGroupStart - 1)));
   };
-  // One counter per stage, cleared again after each group.
+  // Two counters per stage (broadcasts, parts), cleared after each group.
   std::vector<std::int32_t> count(static_cast<std::size_t>(stages), 0);
-  std::vector<int> length(count.size(), 0);
+  std::vector<std::int64_t> load(count.size(), 0);
+  StageLengths len{std::vector<int>(count.size(), 0),
+                   std::vector<std::int64_t>(count.size(), 0)};
   for (std::size_t first = 0, last; first < at; first = last) {
     last = first + 1;
     while (last < at && !(records[last] & kGroupStart)) ++last;
     for (std::size_t j = first; j < last; ++j) {
       const std::size_t st = stage(j);
-      length[st] = std::max(length[st], ++count[st]);
+      len.unit[st] = std::max(len.unit[st], ++count[st]);
+      len.weighted[st] = std::max(len.weighted[st], load[st] += parts[j]);
     }
-    for (std::size_t j = first; j < last; ++j) count[stage(j)] = 0;
+    for (std::size_t j = first; j < last; ++j) {
+      count[stage(j)] = 0;
+      load[stage(j)] = 0;
+    }
   }
-  return length;
+  return len;
 }
 
 }  // namespace
@@ -550,6 +566,7 @@ DistTreeScheme DistTreeScheme::build(const graph::WeightedGraph& g,
   // Assemble per-member tables and labels into the vertex-sorted arrays.
   // Each member's local label is consumed exactly once, so it moves out of
   // the flat arena instead of being copied.
+  if (sched_out != nullptr) sched_out->parts.assign(sz, 0);
   out.members_.resize(sz);
   for (std::size_t j = 0; j < sz; ++j) {
     out.members_[j] = tree.members[static_cast<std::size_t>(s.perm[j])];
@@ -580,6 +597,17 @@ DistTreeScheme DistTreeScheme::build(const graph::WeightedGraph& g,
       // At the subtree root, the way "up" in T leaves the subtree.
       ni.up_port = (i == wpos) ? s.parent_port[i] : graph::kNoPort;
     }
+    if (sched_out != nullptr && i != wpos) {
+      // Phase 1's merged DFS + label pass (DESIGN.md §2.2): the parent
+      // sends [a, b) and the local light list, 2 + 2·|light| words.
+      const std::int64_t parts =
+          (2 + 2 * static_cast<std::int64_t>(s.tz_labels[flat].light.size()) +
+           congest::kMaxWords - 1) /
+          congest::kMaxWords;
+      NORS_CHECK_MSG(parts <= 0xff, "label pass message of "
+                                        << parts << " parts overflows a byte");
+      sched_out->parts[i] = static_cast<std::uint8_t>(parts);
+    }
     VLabel lbl;
     lbl.a_prime = s.a_prime[wslot];
     lbl.global_light = s.t_label[wslot];
@@ -588,8 +616,6 @@ DistTreeScheme DistTreeScheme::build(const graph::WeightedGraph& g,
     // label that extended its parent's); these labels stay resident for
     // the scheme's lifetime, so trade one exact-fit copy for the slack.
     lbl.local.light.shrink_to_fit();
-    out.max_local_label_words_ =
-        std::max(out.max_local_label_words_, lbl.local.words());
     const auto sidx =
         static_cast<std::size_t>(s.sorted_of_orig[static_cast<std::size_t>(
             s.orig_pos[i])]);
@@ -743,14 +769,11 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
     phase2_rounds = primitives::pipelined_broadcast_rounds(bfs, tokens);
   }
   std::int64_t records = 0;
-  std::int64_t max_local_label_words = 1;
   for (const auto& s : out.schemes) {
     out.max_subtree_depth =
         std::max(out.max_subtree_depth, s.max_subtree_depth());
     out.u_total += s.u_count();
     records += s.u_count() - 1;
-    max_local_label_words =
-        std::max(max_local_label_words, s.max_local_label_words());
     phase2_msgs += s.phase2_messages();
   }
 
@@ -766,33 +789,34 @@ DistTreeBatch build_dist_tree_batch(const graph::WeightedGraph& g,
   std::int64_t range = 1;
   while (2 * range <= cap) range *= 2;
   util::Rng sched_rng = rng.fork(99);
-  const std::vector<int> lengths =
+  const StageLengths lengths =
       staged_stage_lengths(g, sched, nthreads, range, sched_rng);
-  out.stages = static_cast<std::int64_t>(lengths.size());
+  out.stages = static_cast<std::int64_t>(lengths.unit.size());
   out.ledger.add("treeroute/phase1 schedule", congest::CostKind::kAccounted,
                  6LL * bfs.height, 0,
                  "range=" + std::to_string(range) +
                      " s=" + std::to_string(out.max_overlap) +
                      " depth=" + std::to_string(out.max_subtree_depth));
 
-  // Phases 0+1 (start-time dissemination, size convergecast, parallel DFS,
-  // local label distribution): four staged passes, the label pass carrying
-  // the local TZ labels. Every edge sends its lowest-stage ready message
-  // first (the size convergecast mirrors the stages and sends its highest
-  // first), so by induction every stage-j message arrives by
-  // Σ_{i≤j} len_i, len_i being stage i's length, and one pass takes
-  // Σ_j len_j rounds (DESIGN.md §2.2).
-  for (const int len : lengths) {
-    out.stage_rounds += len;
-    out.stage_length = std::max(out.stage_length, len);
+  // Phases 0+1: three staged passes — start-time dissemination, size
+  // convergecast, and one merged DFS + label pass whose messages carry
+  // [a, b) and the local light list in TreeSchedule::parts parts. Every
+  // edge sends the parts of its lowest-stage ready message first, in order
+  // (the size convergecast mirrors the stages and sends its highest
+  // first), so by induction every stage-j message arrives by Σ_{i≤j} len_i,
+  // len_i being stage i's length in parts: a unit pass takes Σ_j len_j
+  // rounds and the merged pass Σ_j len^w_j (DESIGN.md §2.2).
+  for (std::size_t j = 0; j < lengths.unit.size(); ++j) {
+    out.stage_rounds += lengths.unit[j];
+    out.stage_length = std::max(out.stage_length, lengths.unit[j]);
+    out.label_rounds += lengths.weighted[j];
   }
-  const std::int64_t label_factor =
-      (max_local_label_words + congest::kMaxWords - 1) / congest::kMaxWords;
   out.ledger.add("treeroute/phase1 staged subtree passes",
                  congest::CostKind::kAccounted,
-                 out.stage_rounds * (3 + label_factor), 0,
+                 2 * out.stage_rounds + out.label_rounds, 0,
                  "stages=" + std::to_string(out.stages) +
                      " pass=" + std::to_string(out.stage_rounds) +
+                     " label_pass=" + std::to_string(out.label_rounds) +
                      " max_load=" + std::to_string(out.stage_length));
 
   // Phase 2: every tree's records over the BFS backbone (Lemma 1).

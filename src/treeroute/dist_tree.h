@@ -137,9 +137,6 @@ class DistTreeScheme {
   // Measured construction quantities (consumed by the Remark-3 cost model).
   int max_subtree_depth() const { return max_subtree_depth_; }
   int u_count() const { return u_count_; }
-  /// max over members of label(v).local.words(), ≥ 1: the payload of the
-  /// Phase-1 label pass (batch accounting).
-  std::int64_t max_local_label_words() const { return max_local_label_words_; }
   /// CONGEST messages of this tree's Phase-2 records: one record of
   /// 5 + |ℓ(p(u))| words per non-root T' node u (DESIGN.md §2.2); 0 when
   /// T' is the root alone.
@@ -155,7 +152,6 @@ class DistTreeScheme {
   std::vector<TzTreeScheme::Label> slot_heavy_label_;
   int max_subtree_depth_ = 0;
   int u_count_ = 0;
-  std::int64_t max_local_label_words_ = 1;
   std::int64_t phase2_messages_ = 0;
 };
 
@@ -169,6 +165,10 @@ struct TreeSchedule {
   // Flat CSR index (WeightedGraph::edge_base + parent port) of the
   // half-edge from the member to its parent; 0 at the root.
   std::vector<std::uint32_t> edge;
+  // Phase 1's merged DFS + label pass: the CONGEST messages the member's
+  // parent sends it, ⌈(2 + 2·|ℓ(v).light|) / kMaxWords⌉ for [a, b) and the
+  // local light list (DESIGN.md §2.2); 0 at subtree roots.
+  std::vector<std::uint8_t> parts;
   // Phase 2: (portal p(u), CONGEST messages of u's record) per non-root
   // T' node u.
   std::vector<std::pair<graph::Vertex, std::int32_t>> phase2;
@@ -233,6 +233,9 @@ struct DistTreeBatch {
   /// Rounds of one staged pass: Σ over stages of each stage's length, the
   /// most broadcasts one edge carries in it.
   std::int64_t stage_rounds = 0;
+  /// Rounds of the merged DFS + label pass: Σ over stages of the most
+  /// message parts one edge carries in it.
+  std::int64_t label_rounds = 0;
 };
 
 /// `specs` is consumed: each spec's storage is released as soon as its tree

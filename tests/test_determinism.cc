@@ -121,11 +121,11 @@ TEST(GoldenRounds, MatchesCommittedRoundsScalingSnapshot) {
   // Subset of the committed snapshot chosen to keep this test under a
   // second while covering both series, both k values and 8× size range.
   const Row rows[] = {
-      {false, 3, 256, 787},   {false, 3, 512, 925},
-      {false, 3, 1024, 1362}, {false, 3, 2048, 2429},
-      {false, 4, 256, 611},   {false, 4, 512, 1021},
-      {false, 4, 1024, 1392}, {true, 3, 256, 18573},
-      {true, 3, 512, 40539},  {true, 3, 1024, 83559},
+      {false, 3, 256, 631},   {false, 3, 512, 727},
+      {false, 3, 1024, 1146}, {false, 3, 2048, 1872},
+      {false, 4, 256, 503},   {false, 4, 512, 873},
+      {false, 4, 1024, 1231}, {true, 3, 256, 18394},
+      {true, 3, 512, 39940},  {true, 3, 1024, 82804},
   };
   for (const Row& row : rows) {
     util::Rng rng(911 + static_cast<std::uint64_t>(row.n));
@@ -185,18 +185,18 @@ TEST(GoldenImages, FrozenImageAndLedgerDigestsArePinned) {
     std::uint64_t ledger;
   };
   const Row rows[] = {
-      {0, 3, 4.0, 0x96b2110f631dfd2full, 0xa1cee724666697acull},
-      {0, 3, 0.1, 0x96b2110f631dfd2full, 0x359b58be703c83dull},
-      {0, 5, 4.0, 0x593f4f3a616b4732ull, 0x26a3602ebd878caull},
-      {0, 5, 0.1, 0x593f4f3a616b4732ull, 0x594d6c69a24c76c2ull},
-      {1, 3, 4.0, 0xf5f5a2f889e6e847ull, 0x6a7f3aaef51a8a1eull},
-      {1, 3, 0.1, 0xf5f5a2f889e6e847ull, 0xa570f053f5fd7fa0ull},
-      {1, 5, 4.0, 0xc7e301464cd2f82bull, 0x698b66914cbcc9e3ull},
-      {1, 5, 0.1, 0x1b359476947ed220ull, 0xd902708278cab13eull},
-      {2, 3, 4.0, 0x35530617b3a86059ull, 0x70fccd4cfcb9f04bull},
-      {2, 3, 0.1, 0x35530617b3a86059ull, 0x9724a29dca35e7eull},
-      {2, 5, 4.0, 0xffee03461643939full, 0xcf914cafa2586471ull},
-      {2, 5, 0.1, 0xffee03461643939full, 0x7ac6f47368497abull},
+      {0, 3, 4.0, 0x96b2110f631dfd2full, 0x6f71e3daab47f8ceull},
+      {0, 3, 0.1, 0x96b2110f631dfd2full, 0xa0b04f04a7cf4903ull},
+      {0, 5, 4.0, 0x593f4f3a616b4732ull, 0xda57a35ba15f4ebdull},
+      {0, 5, 0.1, 0x593f4f3a616b4732ull, 0xe89362fb5b1e3a85ull},
+      {1, 3, 4.0, 0xf5f5a2f889e6e847ull, 0x84830b290296c1a9ull},
+      {1, 3, 0.1, 0xf5f5a2f889e6e847ull, 0x22186b81e5241c07ull},
+      {1, 5, 4.0, 0xc7e301464cd2f82bull, 0x6c8adab5f4ea57a5ull},
+      {1, 5, 0.1, 0x1b359476947ed220ull, 0x9db52d52e41c12deull},
+      {2, 3, 4.0, 0x35530617b3a86059ull, 0x7c2282c0b68fb312ull},
+      {2, 3, 0.1, 0x35530617b3a86059ull, 0x206955ee79fc69dfull},
+      {2, 5, 4.0, 0xffee03461643939full, 0x28e5e5e7ac65009eull},
+      {2, 5, 0.1, 0xffee03461643939full, 0x4830415e8ec3d634ull},
   };
   for (const Row& row : rows) {
     const auto g = make_graph(row.family, 700 + static_cast<std::uint64_t>(

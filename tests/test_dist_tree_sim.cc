@@ -59,13 +59,21 @@ TEST_P(Phase1SimTest, IntervalsMatchCentralizedBuild) {
   }
   const auto sim = treeroute::simulate_phase1(g, spec, in_u);
   const auto scheme = treeroute::DistTreeScheme::build(g, spec, in_u);
-  // The simulated message-level DFS must assign exactly the intervals the
-  // centralized construction computes (same heavy-first order).
+  // The simulated message-level DFS + label pass must assign exactly the
+  // intervals and local labels the centralized construction computes (same
+  // heavy-first order).
+  std::size_t longest = 0;
   for (Vertex v = 0; v < g.n(); ++v) {
     const auto& local = scheme.info(v).local;
     EXPECT_EQ(sim.a.at(v), local.a) << "v=" << v;
     EXPECT_EQ(sim.b.at(v), local.b) << "v=" << v;
+    const auto& label = scheme.label(v).local;
+    EXPECT_EQ(sim.a.at(v), label.a) << "v=" << v;
+    EXPECT_EQ(sim.light.at(v), label.light) << "v=" << v;
+    longest = std::max(longest, label.light.size());
   }
+  // Some label spans several messages (2 + 2·|light| > kMaxWords words).
+  EXPECT_GT(2 + 2 * longest, static_cast<std::size_t>(congest::kMaxWords));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Phase1SimTest,
@@ -111,11 +119,12 @@ TEST(Phase1Sim, SizesAreSubtreeSizes) {
 }
 
 TEST(DistTreeBatch, SimulatedPhase1FitsTheCharge) {
-  // The staged Phase-1 charge L·stages·(3 + label factor) must stay an
-  // upper bound on the message-level run of the same passes. One-tree
-  // batches over each graph family of the determinism suite, where every
-  // edge carries one broadcast and so L = 1; the batch's U sample is
-  // replayed from its seed (γ = sqrt(n / s), s = 1).
+  // The staged Phase-1 charge 2·Σ_j len_j + Σ_j len^w_j must stay an upper
+  // bound on the message-level run of the size convergecast and the merged
+  // DFS + label pass. One-tree batches over each graph family of the
+  // determinism suite, where every edge carries one broadcast and so
+  // len_j = 1; the batch's U sample is replayed from its seed
+  // (γ = sqrt(n / s), s = 1).
   for (int family = 0; family < 3; ++family) {
     const auto g = family_graph(family);
     for (const Vertex root : {0, g.n() / 3, 2 * g.n() / 3}) {
@@ -157,27 +166,32 @@ TEST(DistTreeBatch, SimulatedPhase1FitsTheCharge) {
 }
 
 /// One (edge, stage) message of a staged pass: the subtree broadcast of
-/// member v over its (v, parent) edge.
+/// member v over its (v, parent) edge, in `parts` CONGEST messages.
 struct StagedMessage {
   int edge;       // dense id of the (child, parent) vertex pair
   std::int64_t stage;
   int up = -1;    // the message over the parent's own edge; -1 at depth 1
+  int parts = 1;  // its merged DFS + label pass messages
 };
 
-/// Replays one staged pass message by message with one queue per directed
-/// edge: each round, every edge sends its ready message of the lowest
-/// priority key (the stage on the way down, the negated stage on the way
-/// up). Down, a message is ready once its `up` message has arrived; up, once
-/// every message naming it as `up` has. Returns each message's arrival
-/// round (rounds count from 1).
+/// Replays one staged pass part by part with one queue per directed edge:
+/// each round, every edge sends the next part of its ready message of the
+/// lowest priority key (the stage on the way down, the negated stage on the
+/// way up), so the parts of one message go in order. With `split` unset
+/// every message is one part. A message arrives with its last part. Down,
+/// a message is ready once its `up` message has arrived; up, once every
+/// message naming it as `up` has. Returns each message's arrival round
+/// (rounds count from 1).
 std::vector<std::int64_t> replay_pass(const std::vector<StagedMessage>& msgs,
-                                      int edges, bool down) {
+                                      int edges, bool down, bool split) {
   std::vector<std::vector<int>> queue(static_cast<std::size_t>(edges));
   std::vector<int> waiting(msgs.size(), 0);  // up: undelivered children
+  std::vector<int> unsent(msgs.size(), 1);   // parts still to send
   for (std::size_t m = 0; m < msgs.size(); ++m) {
     queue[static_cast<std::size_t>(msgs[m].edge)].push_back(
         static_cast<int>(m));
     if (msgs[m].up >= 0) ++waiting[static_cast<std::size_t>(msgs[m].up)];
+    if (split) unsent[m] = msgs[m].parts;
   }
   std::vector<std::int64_t> at(msgs.size(), 0);
   std::size_t left = msgs.size();
@@ -203,6 +217,7 @@ std::vector<std::int64_t> replay_pass(const std::vector<StagedMessage>& msgs,
         if (best < 0 || key(m) < key(best)) best = m;
       }
       if (best < 0) continue;
+      if (--unsent[static_cast<std::size_t>(best)] > 0) continue;
       q.erase(std::find(q.begin(), q.end(), best));
       sent.push_back(best);
     }
@@ -222,11 +237,15 @@ TEST(DistTreeBatch, LowestStageFirstMeetsEveryStageDeadline) {
   // sends its lowest-stage ready message first, every stage-j message
   // arrives by T_j = Σ_{i≤j} len_i (len_i: the most messages one edge
   // carries in stage i), and the mirrored up pass, highest stage first,
-  // delivers stage j by Σ_{i≥j} len_i. Replay the batch's own drawn
-  // schedule on overlapping SSSP batches over the determinism families
-  // and a path, and check both passes against those deadlines and the
-  // batch's Σ_j len_j.
+  // delivers stage j by Σ_{i≥j} len_i. The merged DFS + label pass sends
+  // each message as its ⌈(2 + 2·|light|) / kMaxWords⌉ parts, in order, so
+  // stage j arrives by T^w_j = Σ_{i≤j} len^w_i (len^w_i: the most parts one
+  // edge carries in stage i). Replay the batch's own drawn schedule on
+  // overlapping SSSP batches over the determinism families and a path, and
+  // check the three passes against those deadlines and the batch's
+  // Σ_j len_j and Σ_j len^w_j.
   std::int64_t busiest = 0;
+  int max_parts = 0;
   for (int input = 0; input < 4; ++input) {
     SCOPED_TRACE("input=" + std::to_string(input));
     util::Rng path_rng(920);
@@ -268,7 +287,8 @@ TEST(DistTreeBatch, LowestStageFirstMeetsEveryStageDeadline) {
     util::Rng draws = ref_rng.fork(99);
     std::vector<StagedMessage> msgs;
     std::map<std::pair<Vertex, Vertex>, int> edge_id;
-    std::map<std::pair<int, std::int64_t>, int> load;  // (edge, stage)
+    // (edge, stage) -> (messages, parts)
+    std::map<std::pair<int, std::int64_t>, std::pair<int, int>> load;
     for (std::size_t t = 0; t < sched.size(); ++t) {
       const auto& ts = sched[t];
       std::vector<std::int64_t> start(ts.order.size(), 0);
@@ -289,39 +309,62 @@ TEST(DistTreeBatch, LowestStageFirstMeetsEveryStageDeadline) {
         // the subtree root, which sends without waiting.
         const int up = ts.depth[i] > 1 ? msg_of[static_cast<std::size_t>(p)]
                                        : -1;
+        const auto light = static_cast<int>(
+            batch.schemes[t].label(v).local.light.size());
+        const int parts =
+            (2 + 2 * light + congest::kMaxWords - 1) / congest::kMaxWords;
+        max_parts = std::max(max_parts, parts);
         msg_of[static_cast<std::size_t>(v)] = static_cast<int>(msgs.size());
-        msgs.push_back({e, start[w] + ts.depth[i], up});
-        ++load[{e, msgs.back().stage}];
+        msgs.push_back({e, start[w] + ts.depth[i], up, parts});
+        auto& [cnt, sum] = load[{e, msgs.back().stage}];
+        ++cnt;
+        sum += parts;
       }
     }
-    std::vector<std::int64_t> len;
-    for (const auto& [key, cnt] : load) {
+    std::vector<std::int64_t> len, len_w;
+    for (const auto& [key, cnt_sum] : load) {
       const auto j = static_cast<std::size_t>(key.second);
-      if (len.size() <= j) len.resize(j + 1, 0);
-      len[j] = std::max<std::int64_t>(len[j], cnt);
-      busiest = std::max<std::int64_t>(busiest, cnt);
+      if (len.size() <= j) {
+        len.resize(j + 1, 0);
+        len_w.resize(j + 1, 0);
+      }
+      len[j] = std::max<std::int64_t>(len[j], cnt_sum.first);
+      len_w[j] = std::max<std::int64_t>(len_w[j], cnt_sum.second);
+      busiest = std::max<std::int64_t>(busiest, cnt_sum.first);
     }
-    std::vector<std::int64_t> by(len.size()), from(len.size() + 1, 0);
+    std::vector<std::int64_t> by(len.size()), by_w(len.size()),
+        from(len.size() + 1, 0);
     for (std::size_t j = 0; j < len.size(); ++j) {
       by[j] = (j > 0 ? by[j - 1] : 0) + len[j];
+      by_w[j] = (j > 0 ? by_w[j - 1] : 0) + len_w[j];
     }
     for (std::size_t j = len.size(); j-- > 0;) from[j] = from[j + 1] + len[j];
     ASSERT_EQ(by.back(), batch.stage_rounds);  // the draw is the batch's
+    ASSERT_EQ(by_w.back(), batch.label_rounds);
 
-    for (const bool down : {true, false}) {
-      const auto at =
-          replay_pass(msgs, static_cast<int>(edge_id.size()), down);
+    struct Pass {
+      const char* name;
+      bool down, split;
+      const std::vector<std::int64_t>& deadline;
+      std::int64_t rounds;
+    };
+    for (const Pass& pass :
+         {Pass{"start times", true, false, by, batch.stage_rounds},
+          Pass{"sizes", false, false, from, batch.stage_rounds},
+          Pass{"dfs+labels", true, true, by_w, batch.label_rounds}}) {
+      const auto at = replay_pass(msgs, static_cast<int>(edge_id.size()),
+                                  pass.down, pass.split);
       std::int64_t last = 0;
       for (std::size_t m = 0; m < msgs.size(); ++m) {
         const auto j = static_cast<std::size_t>(msgs[m].stage);
-        EXPECT_LE(at[m], down ? by[j] : from[j])
-            << (down ? "down" : "up") << " stage=" << j;
+        EXPECT_LE(at[m], pass.deadline[j]) << pass.name << " stage=" << j;
         last = std::max(last, at[m]);
       }
-      EXPECT_LE(last, batch.stage_rounds) << (down ? "down" : "up");
+      EXPECT_LE(last, pass.rounds) << pass.name;
     }
   }
-  EXPECT_GT(busiest, 1);  // some edge queued several messages in a stage
+  EXPECT_GT(busiest, 1);    // some edge queued several messages in a stage
+  EXPECT_GT(max_parts, 1);  // some label spans several messages
 }
 
 TEST(DistTreeBatch, SimulatedPhase2FitsTheCharge) {

@@ -563,9 +563,12 @@ TEST(DistTreeBatch, StageLengthsMatchABruteForceCount) {
   // batch's draws (the U sample, then the forked schedule stream) and
   // count every (child, parent, stage) in a std::map: stage j lasts len_j
   // rounds, the most broadcasts any one edge carries in it, so one staged
-  // pass takes Σ_j len_j. Every edge is doubled and every other tree hangs
-  // off the twin ports: parallel edges to one parent are still one
-  // (child, parent) edge.
+  // pass takes Σ_j len_j. The merged DFS + label pass sends each member
+  // ⌈(2 + 2·|ℓ(v).light|) / kMaxWords⌉ messages, so its stage j lasts
+  // len^w_j, the most of those parts one edge carries in it, and Phase 1's
+  // three passes take 2·Σ_j len_j + Σ_j len^w_j. Every edge is doubled and
+  // every other tree hangs off the twin ports: parallel edges to one parent
+  // are still one (child, parent) edge.
   util::Rng rng(301);
   const auto single =
       graph::connected_gnm(160, 360, graph::WeightSpec::uniform(1, 6), rng);
@@ -603,17 +606,26 @@ TEST(DistTreeBatch, StageLengthsMatchABruteForceCount) {
     std::vector<treeroute::TreeSchedule> sched(batch_specs.size());
     treeroute::TreeBuildScratch scratch;
     int depth = 0;
+    // The merged pass's parts per member, from the schemes' own labels.
+    std::vector<std::vector<int>> parts(batch_specs.size());
     for (std::size_t i = 0; i < batch_specs.size(); ++i) {
-      depth = std::max(depth, treeroute::DistTreeScheme::build(
-                                  g, batch_specs[i], in_u, scratch, &sched[i])
-                                  .max_subtree_depth());
+      const auto scheme = treeroute::DistTreeScheme::build(
+          g, batch_specs[i], in_u, scratch, &sched[i]);
+      depth = std::max(depth, scheme.max_subtree_depth());
+      for (const Vertex v : batch_specs[i].members) {
+        const auto light = static_cast<int>(scheme.label(v).local.light.size());
+        parts[i].push_back((2 + 2 * light + congest::kMaxWords - 1) /
+                           congest::kMaxWords);
+      }
     }
     std::int64_t range = 1;
     while (2 * range <= std::max(1, std::min(s, depth / 2))) range *= 2;
     EXPECT_EQ(range, want_range) << "s=" << s << " depth=" << depth;
 
     util::Rng draws = ref_rng.fork(99);
-    std::map<std::tuple<Vertex, Vertex, std::int64_t>, int> load;
+    // (child, parent, stage) -> (broadcasts, merged-pass parts)
+    std::map<std::tuple<Vertex, Vertex, std::int64_t>, std::pair<int, int>>
+        load;
     std::int64_t stages = 0;
     for (std::size_t t = 0; t < sched.size(); ++t) {
       const auto& ts = sched[t];
@@ -628,20 +640,27 @@ TEST(DistTreeBatch, StageLengthsMatchABruteForceCount) {
             start[static_cast<std::size_t>(ts.w_pos[i])] + ts.depth[i];
         stages = std::max(stages, stage + 1);
         const Vertex v = ts.order[i];  // members are 0..n-1 in spec order
-        ++load[{v, batch_specs[t].parent[static_cast<std::size_t>(v)], stage}];
+        auto& [cnt, sum] =
+            load[{v, batch_specs[t].parent[static_cast<std::size_t>(v)], stage}];
+        ++cnt;
+        sum += parts[t][static_cast<std::size_t>(v)];
       }
     }
-    std::map<std::int64_t, int> len;  // stage -> max load over edges
-    for (const auto& [key, cnt] : load) {
-      int& l = len[std::get<2>(key)];
-      l = std::max(l, cnt);
+    // stage -> max over edges of (broadcasts, parts)
+    std::map<std::int64_t, std::pair<int, int>> len;
+    for (const auto& [key, cnt_sum] : load) {
+      auto& [l, l_w] = len[std::get<2>(key)];
+      l = std::max(l, cnt_sum.first);
+      l_w = std::max(l_w, cnt_sum.second);
     }
     int max_load = 0;
-    std::int64_t pass = 0;
+    std::int64_t pass = 0, label_pass = 0;
     for (const auto& [stage, l] : len) {
-      max_load = std::max(max_load, l);
-      pass += l;
+      max_load = std::max(max_load, l.first);
+      pass += l.first;
+      label_pass += l.second;
     }
+    EXPECT_GT(label_pass, pass);  // some member's message has several parts
 
     treeroute::DistTreeBatchParams params;
     params.gamma = gamma;
@@ -654,14 +673,7 @@ TEST(DistTreeBatch, StageLengthsMatchABruteForceCount) {
     EXPECT_EQ(batch.stages, stages);
     EXPECT_EQ(batch.stage_length, max_load);
     EXPECT_EQ(batch.stage_rounds, pass);
-    std::int64_t local_words = 1;
-    for (const auto& scheme : batch.schemes) {
-      for (std::size_t i = 0; i < scheme.members().size(); ++i) {
-        local_words = std::max(local_words, scheme.label_at(i).local.words());
-      }
-    }
-    const std::int64_t label_factor =
-        (local_words + congest::kMaxWords - 1) / congest::kMaxWords;
+    EXPECT_EQ(batch.label_rounds, label_pass);
     const auto& entries = batch.ledger.entries();
     EXPECT_EQ(entries.size(), 3u);
     if (entries.size() != 3u) return max_load;
@@ -671,9 +683,10 @@ TEST(DistTreeBatch, StageLengthsMatchABruteForceCount) {
     EXPECT_EQ(entries[0].note, "range=" + std::to_string(range) +
                                    " s=" + std::to_string(s) +
                                    " depth=" + std::to_string(depth));
-    EXPECT_EQ(entries[1].rounds, pass * (3 + label_factor));
+    EXPECT_EQ(entries[1].rounds, 2 * pass + label_pass);
     EXPECT_EQ(entries[1].note, "stages=" + std::to_string(stages) +
                                    " pass=" + std::to_string(pass) +
+                                   " label_pass=" + std::to_string(label_pass) +
                                    " max_load=" + std::to_string(max_load));
     return max_load;
   };
