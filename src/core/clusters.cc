@@ -342,7 +342,7 @@ std::vector<ClusterTree> build_large_level_trees(
     const graph::WeightedGraph& g, const primitives::Hierarchy& h, int level,
     const PivotTable& pivots, const Preprocess& pre,
     const SchemeParams& params, const primitives::BfsTree& bfs,
-    congest::RoundLedger& ledger) {
+    congest::RoundLedger& ledger, std::vector<congest::Message>* phase2_sent) {
   const int n = g.n();
   const int m = static_cast<int>(pre.vprime.size());
   const int beta = pre.beta();
@@ -483,7 +483,7 @@ std::vector<ClusterTree> build_large_level_trees(
     }
   }
 
-  // Phase 2: members broadcast (root, b); every vertex extends via the
+  // Phase 2: members broadcast their b values; every vertex extends via the
   // source-detection distances. Members of C̃'(u) keep their phase-1 values
   // and get real parents from Remark 1 toward their virtual parent.
   trees.resize(static_cast<std::size_t>(r));
@@ -491,39 +491,28 @@ std::vector<ClusterTree> build_large_level_trees(
     trees[static_cast<std::size_t>(s)].root = roots[static_cast<std::size_t>(s)];
     trees[static_cast<std::size_t>(s)].level = level;
   }
-  // Per root slot, the broadcasting members (V' index, b) in CSR layout,
-  // V'-ascending within each slot (the historical tie-break order).
-  std::vector<int> bc_cnt(static_cast<std::size_t>(r), 0);
-  BroadcastCharge phase2(bfs);
-  for (int v = 0; v < m; ++v) {
-    for (int s = 0; s < r; ++s) {
-      if (!graph::is_inf(state[cell(v, s)].b)) {
-        ++bc_cnt[static_cast<std::size_t>(s)];
-        phase2.send(pre.vprime[static_cast<std::size_t>(v)]);
-      }
-    }
-  }
-  std::vector<int> bc_off(static_cast<std::size_t>(r) + 1, 0);
-  for (int s = 0; s < r; ++s) {
-    bc_off[static_cast<std::size_t>(s) + 1] =
-        bc_off[static_cast<std::size_t>(s)] + bc_cnt[static_cast<std::size_t>(s)];
-  }
-  std::vector<std::pair<int, Dist>> bc(
-      static_cast<std::size_t>(phase2.messages()));
+  // Every member broadcasts its finite values two root slots per message;
+  // every vertex decodes them into per-slot (V' index, b) cells, V'-ascending
+  // within each slot (the historical tie-break order).
+  std::vector<congest::Message> sent;
   {
-    std::vector<int> cursor(bc_off.begin(), bc_off.end() - 1);
+    std::vector<Dist> b_row(static_cast<std::size_t>(r));
     for (int v = 0; v < m; ++v) {
       for (int s = 0; s < r; ++s) {
-        const Dist bv = state[cell(v, s)].b;
-        if (graph::is_inf(bv)) continue;
-        bc[static_cast<std::size_t>(cursor[static_cast<std::size_t>(s)]++)] = {
-            v, bv};
+        b_row[static_cast<std::size_t>(s)] = state[cell(v, s)].b;
       }
+      encode_phase2_row(v, b_row, sent);
     }
   }
+  BroadcastCharge phase2(bfs);
+  for (const congest::Message& msg : sent) {
+    phase2.send(pre.vprime[static_cast<std::size_t>(msg.w[0])]);
+  }
+  const Phase2Cells bc = decode_phase2(sent, r);
 
-  // Every root slot owns its tree and reads only shared phase-1 state, so
-  // the slots run on the pool (bit-identical for any pool size).
+  // Every root slot owns its tree and reads only the shared decoded cells
+  // and phase-1 state, so the slots run on the pool (bit-identical for any
+  // pool size).
   const int nthreads = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(util::resolve_threads(params.threads)),
       static_cast<std::size_t>(r)));
@@ -531,8 +520,10 @@ std::vector<ClusterTree> build_large_level_trees(
     const int s = static_cast<int>(slot);
     auto& tree = trees[static_cast<std::size_t>(s)];
     const Vertex u = roots[static_cast<std::size_t>(s)];
-    const auto* bc_begin = bc.data() + bc_off[static_cast<std::size_t>(s)];
-    const auto* bc_end = bc.data() + bc_off[static_cast<std::size_t>(s) + 1];
+    const auto* bc_begin =
+        bc.cells.data() + bc.off[static_cast<std::size_t>(s)];
+    const auto* bc_end =
+        bc.cells.data() + bc.off[static_cast<std::size_t>(s) + 1];
     for (Vertex y = 0; y < n; ++y) {
       // Extension value from the broadcast (the single synchronous round of
       // phase 2): min over members of d_yv + b_v(u).
@@ -586,9 +577,55 @@ std::vector<ClusterTree> build_large_level_trees(
   };
   util::parallel_for(nthreads, static_cast<std::size_t>(r), extend);
   ledger.add("clusters/large level " + std::to_string(level) + " phase2",
-             congest::CostKind::kAccounted,
-             phase2.rounds(), phase2.messages());
+             congest::CostKind::kAccounted, phase2.rounds(), phase2.messages(),
+             "slots=" + std::to_string(r) +
+                 " cells=" + std::to_string(bc.cells.size()));
+  if (phase2_sent != nullptr) *phase2_sent = std::move(sent);
   return trees;
+}
+
+void encode_phase2_row(int v, std::span<const Dist> row,
+                       std::vector<congest::Message>& out) {
+  const std::size_t r = row.size();
+  for (std::size_t j = 0; j < r; j += 2) {
+    const Dist lo = row[j];
+    const Dist hi = j + 1 < r ? row[j + 1] : graph::kDistInf;
+    if (graph::is_inf(lo) && graph::is_inf(hi)) continue;
+    out.push_back(congest::Message::make(
+        0, {v, static_cast<std::int64_t>(j), lo, hi}));
+  }
+}
+
+Phase2Cells decode_phase2(std::span<const congest::Message> sent, int r) {
+  Phase2Cells out;
+  out.off.assign(static_cast<std::size_t>(r) + 1, 0);
+  // Visits every finite (slot, V' index, b) cell the messages carry.
+  const auto for_each_cell = [&](const auto& f) {
+    for (const congest::Message& msg : sent) {
+      NORS_CHECK(msg.len == 4 && msg.w[1] % 2 == 0);
+      for (int half = 0; half < 2; ++half) {
+        const Dist b = msg.w[static_cast<std::size_t>(2 + half)];
+        if (graph::is_inf(b)) continue;
+        const auto slot = static_cast<int>(msg.w[1]) + half;
+        NORS_CHECK(slot >= 0 && slot < r);
+        f(slot, static_cast<int>(msg.w[0]), b);
+      }
+    }
+  };
+  for_each_cell([&](int slot, int, Dist) {
+    ++out.off[static_cast<std::size_t>(slot) + 1];
+  });
+  for (int s = 0; s < r; ++s) {
+    out.off[static_cast<std::size_t>(s) + 1] +=
+        out.off[static_cast<std::size_t>(s)];
+  }
+  out.cells.resize(static_cast<std::size_t>(out.off.back()));
+  std::vector<int> cursor(out.off.begin(), out.off.end() - 1);
+  for_each_cell([&](int slot, int v, Dist b) {
+    out.cells[static_cast<std::size_t>(
+        cursor[static_cast<std::size_t>(slot)]++)] = {v, b};
+  });
+  return out;
 }
 
 std::int64_t sanitize_trees(const graph::WeightedGraph& g,

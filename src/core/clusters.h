@@ -1,9 +1,12 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "congest/ledger.h"
+#include "congest/message.h"
 #include "core/params.h"
 #include "core/pivots.h"
 #include "graph/graph.h"
@@ -123,12 +126,31 @@ std::vector<ClusterTree> build_middle_level_trees(
 /// parents), Phase 2 (extension to V with condition (15)). Per-root state
 /// lives in one dense |V'| × |roots| slot arena (root slot = index into the
 /// level's root list), so every sweep is a linear scan. Every phase is
-/// charged as pipelined broadcasts over `bfs` from its senders.
+/// charged as pipelined broadcasts over `bfs` from its senders; Phase 2's
+/// messages are the encode_phase2_row encoding, appended to `phase2_sent`
+/// when given.
 std::vector<ClusterTree> build_large_level_trees(
     const graph::WeightedGraph& g, const primitives::Hierarchy& h, int level,
     const PivotTable& pivots, const Preprocess& pre,
     const SchemeParams& params, const primitives::BfsTree& bfs,
-    congest::RoundLedger& ledger);
+    congest::RoundLedger& ledger,
+    std::vector<congest::Message>* phase2_sent = nullptr);
+
+/// Large-level Phase 2 (Lemma 1): V' member `v` (a V' index) broadcasts its
+/// row of b values, one per root slot, two aligned slots per message:
+/// (v, j, b_j, b_{j+1}) for even j, kDistInf marking a slot without a value
+/// (and slot r when r is odd). Pairs without a finite value send nothing.
+/// Appends v's messages to `out` in ascending j.
+void encode_phase2_row(int v, std::span<const graph::Dist> row,
+                       std::vector<congest::Message>& out);
+
+/// The receiving side of encode_phase2_row for `r` root slots: per slot,
+/// the (V' index, b) cells the messages carry, in message order, as CSR.
+struct Phase2Cells {
+  std::vector<int> off;                            // r + 1 slot offsets
+  std::vector<std::pair<int, graph::Dist>> cells;  // (V' index, b)
+};
+Phase2Cells decode_phase2(std::span<const congest::Message> sent, int r);
 
 /// Validates Claim 7 on every tree (parent is a member over a real edge and
 /// b_v ≥ w(v,p) + b_p), pruning any member whose parent chain is broken

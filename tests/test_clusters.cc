@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 
@@ -317,6 +318,149 @@ TEST(LargeLevelCharges, DependentIterationsAddTheirBroadcasts) {
     ++checked;
   }
   EXPECT_EQ(checked, 3);  // pivots level 3, large levels 2 and 3
+}
+
+
+TEST(LargeLevelPhase2PairsRoundTrip, EncodeDecodeRows) {
+  // Phase 2 sends two aligned root slots per message. Decoding must return
+  // exactly the finite cells, per slot in V' order, from one message per
+  // aligned pair that holds a finite value: sparse, dense, odd r, r = 1.
+  util::Rng rng(2024);
+  for (const int r : {1, 2, 3, 7, 8, 33}) {
+    for (const double density : {0.0, 0.1, 0.5, 1.0}) {
+      SCOPED_TRACE("r=" + std::to_string(r) +
+                   " density=" + std::to_string(density));
+      const int m = 9;
+      std::vector<std::vector<Dist>> rows(static_cast<std::size_t>(m));
+      std::vector<congest::Message> sent;
+      std::size_t pairs = 0;
+      for (int v = 0; v < m; ++v) {
+        auto& row = rows[static_cast<std::size_t>(v)];
+        for (int s = 0; s < r; ++s) {
+          row.push_back(rng.bernoulli(density) ? rng.uniform_int(0, 1 << 20)
+                                               : graph::kDistInf);
+        }
+        for (int j = 0; j < r; j += 2) {
+          const bool lo = !graph::is_inf(row[static_cast<std::size_t>(j)]);
+          const bool hi =
+              j + 1 < r && !graph::is_inf(row[static_cast<std::size_t>(j + 1)]);
+          if (lo || hi) ++pairs;
+        }
+        core::encode_phase2_row(v, row, sent);
+      }
+      EXPECT_EQ(sent.size(), pairs);
+      for (const auto& msg : sent) {
+        EXPECT_EQ(msg.len, 4);
+        EXPECT_EQ(msg.w[1] % 2, 0);
+      }
+      const core::Phase2Cells got = core::decode_phase2(sent, r);
+      ASSERT_EQ(got.off.size(), static_cast<std::size_t>(r) + 1);
+      for (int s = 0; s < r; ++s) {
+        std::vector<std::pair<int, Dist>> want;
+        for (int v = 0; v < m; ++v) {
+          const Dist b =
+              rows[static_cast<std::size_t>(v)][static_cast<std::size_t>(s)];
+          if (!graph::is_inf(b)) want.push_back({v, b});
+        }
+        const std::vector<std::pair<int, Dist>> slot(
+            got.cells.begin() + got.off[static_cast<std::size_t>(s)],
+            got.cells.begin() + got.off[static_cast<std::size_t>(s) + 1]);
+        EXPECT_EQ(slot, want) << "slot " << s;
+      }
+    }
+  }
+}
+
+TEST(LargeLevelPhase2PairsRoundTrip, ChargeIsTheEncodersBroadcast) {
+  // On the graph families above, each large level's Phase 2 entry must be
+  // the exact Lemma-1 count of the encoder's messages (tokens at their
+  // senders), which the simulator reproduces, and its note must count the
+  // decoded cells. The levels are rebuilt from a replay of the scheme's
+  // hierarchy and preprocessing and must reproduce its ledger entry.
+  struct Family {
+    Case c;
+    bool path;
+  };
+  const Family families[] = {
+      {Case{2, 401, 90, 200}, false},  {Case{3, 402, 110, 260}, false},
+      {Case{4, 403, 120, 300}, false}, {Case{5, 404, 130, 320}, false},
+      {Case{3, 405, 100, 1200}, false},
+      {Case{4, 406, 120, 300, util::Epsilon(1, 8)}, false},
+      {Case{4, 7, 1024, 0}, true},
+  };
+  int checked = 0;
+  for (const Family& f : families) {
+    const Case& c = f.c;
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " k=" + std::to_string(c.k));
+    util::Rng grng(f.path ? 911 + c.n : c.seed);
+    const auto g =
+        f.path ? graph::path(c.n, graph::WeightSpec::uniform(1, 8), grng)
+               : graph::connected_gnm(c.n, c.extra_edges,
+                                      graph::WeightSpec::uniform(1, 16), grng);
+    core::SchemeParams p;
+    p.k = c.k;
+    p.seed = c.seed;
+    p.eps = c.eps;
+    const auto scheme = core::RoutingScheme::build(g, p);
+    ASSERT_EQ(scheme.coverage_retries(), 0);
+
+    util::Rng rng(p.seed);
+    const auto bfs = primitives::centralized_bfs_tree(g, 0);
+    const auto h = primitives::Hierarchy::sample(c.n, p.k, rng);
+    congest::RoundLedger preprocess_ledger;
+    const auto pre = core::build_preprocess(g, h, p, bfs.height,
+                                            preprocess_ledger, rng);
+    for (int i = 0; i < p.k; ++i) {
+      if (core::classify_level(i, p.k) != core::LevelKind::kLarge) continue;
+      const std::string phase =
+          "clusters/large level " + std::to_string(i) + " phase2";
+      SCOPED_TRACE(phase);
+      congest::RoundLedger ledger;
+      std::vector<congest::Message> sent;
+      core::build_large_level_trees(g, h, i, scheme.pivots(), pre, p, bfs,
+                                    ledger, &sent);
+      const auto find = [&](const congest::RoundLedger& l) {
+        const congest::CostEntry* entry = nullptr;
+        for (const auto& e : l.entries()) {
+          if (e.phase == phase) entry = &e;
+        }
+        return entry;
+      };
+      const congest::CostEntry* entry = find(ledger);
+      const congest::CostEntry* built = find(scheme.ledger());
+      ASSERT_NE(entry, nullptr);
+      ASSERT_NE(built, nullptr);
+      EXPECT_EQ(entry->rounds, built->rounds);
+      EXPECT_EQ(entry->messages, built->messages);
+      EXPECT_EQ(entry->note, built->note);
+
+      const int r = static_cast<int>(h.exactly_at(i).size());
+      const core::Phase2Cells cells = core::decode_phase2(sent, r);
+      std::vector<int> tokens(static_cast<std::size_t>(c.n), 0);
+      for (const auto& msg : sent) {
+        ++tokens[static_cast<std::size_t>(
+            pre.vprime[static_cast<std::size_t>(msg.w[0])])];
+      }
+      // One message per (member, aligned pair) holding a finite value.
+      std::set<std::pair<int, int>> pairs;
+      for (int s = 0; s < r; ++s) {
+        for (int x = cells.off[static_cast<std::size_t>(s)];
+             x < cells.off[static_cast<std::size_t>(s) + 1]; ++x) {
+          pairs.insert({cells.cells[static_cast<std::size_t>(x)].first, s / 2});
+        }
+      }
+      EXPECT_EQ(pairs.size(), sent.size());
+      EXPECT_EQ(entry->messages, static_cast<std::int64_t>(sent.size()));
+      EXPECT_EQ(entry->note, "slots=" + std::to_string(r) + " cells=" +
+                                 std::to_string(cells.cells.size()));
+      EXPECT_EQ(entry->rounds,
+                primitives::pipelined_broadcast_rounds(bfs, tokens));
+      EXPECT_EQ(entry->rounds,
+                primitives::simulate_pipelined_broadcast(g, bfs, tokens));
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 11);
 }
 
 }  // namespace
